@@ -13,7 +13,6 @@
 #include "common/logging.hh"
 #include "common/request_pool.hh"
 #include "common/rng.hh"
-#include "common/sharded_kernel.hh"
 #include "common/snapshot.hh"
 #include "common/sweep.hh"
 #include "lens/driver.hh"
@@ -215,16 +214,12 @@ BM_DramRandomRead(benchmark::State &state)
 }
 BENCHMARK(BM_DramRandomRead);
 
-// ---- Sharded kernel: one 6-DIMM world, serial vs parallel ----------
+// ---- Interleaved 6-DIMM socket -------------------------------------
 //
-// The pair below runs the same interleaved-socket burst through the
-// sharded kernel at one thread (the serial reference) and at the
-// host's thread count. Outputs are bit-identical by construction
-// (ShardedDeterminism tests); this measures only the wall-clock
-// effect of running the six channel pipelines concurrently. On a
-// single-CPU host the kernel clamps to one thread, so the two
-// benches coincide up to barrier bookkeeping; the speedup shows on
-// multi-core hosts.
+// The Fig 7a socket: one world on one event queue, six channel
+// pipelines and six AIT-buffer DRAM controllers sharing its heap. The
+// burst ends with a drain, so the per-event quiescence poll is on the
+// measured path.
 
 nvram::NvramConfig
 sixDimmConfig()
@@ -251,34 +246,20 @@ sixDimmBurst(MemorySystem &sys)
 }
 
 void
-runSixDimm(benchmark::State &state, unsigned threads)
+BM_Vans6Dimm(benchmark::State &state)
 {
     setQuiet(true);
     nvram::NvramConfig cfg = sixDimmConfig();
     for (auto _ : state) {
-        ShardedKernel kern(cfg.numDimms, nsToTicks(cfg.coreToImcNs),
-                           threads);
-        nvram::VansSystem sys(kern, cfg, "vans6");
+        EventQueue eq;
+        nvram::VansSystem sys(eq, cfg, "vans6");
         sixDimmBurst(sys);
-        snapshot::awaitQuiescence(kern.core(), sys);
-        benchmark::DoNotOptimize(kern.curTick());
+        sys.drain();
+        benchmark::DoNotOptimize(eq.curTick());
     }
     state.SetItemsProcessed(state.iterations());
 }
-
-void
-BM_Vans6DimmSerial(benchmark::State &state)
-{
-    runSixDimm(state, 1);
-}
-BENCHMARK(BM_Vans6DimmSerial)->Unit(benchmark::kMillisecond);
-
-void
-BM_Vans6DimmSharded(benchmark::State &state)
-{
-    runSixDimm(state, 0); // 0 = one thread per hardware core.
-}
-BENCHMARK(BM_Vans6DimmSharded)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Vans6Dimm)->Unit(benchmark::kMillisecond);
 
 // ---- Warm-once/fork-many vs cold-per-point sweeps ------------------
 //
@@ -343,7 +324,7 @@ BM_SweepColdPerPoint(benchmark::State &state)
             EventQueue eq;
             auto sys = factory(eq);
             sweepWarm(*sys);
-            snapshot::awaitQuiescence(eq, *sys);
+            sys->drain();
             total += sweepPoint(*sys, i);
         }
         benchmark::DoNotOptimize(total);
@@ -378,7 +359,7 @@ BM_SnapshotCaptureRestore(benchmark::State &state)
     EventQueue proto_eq;
     auto proto = factory(proto_eq);
     sweepWarm(*proto);
-    snapshot::awaitQuiescence(proto_eq, *proto);
+    proto->drain();
     auto snap = snapshot::WorldSnapshot::capture(proto_eq, *proto);
     for (auto _ : state) {
         EventQueue eq;

@@ -187,11 +187,8 @@ struct PmOp
 
 /**
  * Runs PM programs against a persist-capable MemorySystem with a
- * power cut at an arbitrary tick. Classic (single event queue)
- * worlds only: the cut primitive peeks the next event tick, which a
- * sharded kernel does not expose across its shards -- sharded
- * determinism with the persistence ops is covered separately by the
- * sharded bit-identity tests.
+ * power cut at an arbitrary tick: the cut primitive peeks the next
+ * event tick and stops short of it.
  */
 class CrashHarness
 {

@@ -135,15 +135,6 @@ EventQueue::run()
     return now;
 }
 
-void
-EventQueue::runWindow(Tick limit)
-{
-    while (!heap.empty() && heap.front().when < limit)
-        step();
-    if (now < limit)
-        now = limit;
-}
-
 Tick
 EventQueue::runUntil(Tick limit)
 {

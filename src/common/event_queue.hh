@@ -76,21 +76,10 @@ class EventQueue
     bool step();
 
     /**
-     * Tick of the next pending event. Precondition: !empty(). Used by
-     * the sharded kernel to derive conservative window boundaries.
+     * Tick of the next pending event. Precondition: !empty(). The
+     * crash harness peeks it to stop short of a power-cut tick.
      */
     Tick nextAt() const { return heap.front().when; }
-
-    /**
-     * Execute every event with when < @p limit (strictly: events at
-     * exactly @p limit belong to the next window), then advance the
-     * clock to @p limit. This is the shard-side primitive of the
-     * sharded kernel: after a window the queue's notion of "now" is
-     * the window end, so state sealed from another shard during the
-     * next phase (e.g. a fence-driven LSQ seal) schedules at or after
-     * the window boundary and never in this queue's past.
-     */
-    void runWindow(Tick limit);
 
     /** Number of pending events. */
     std::size_t pending() const { return heap.size(); }

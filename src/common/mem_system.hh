@@ -96,15 +96,6 @@ class MemorySystem
     /** The event queue this system is clocked by. */
     EventQueue &eventQueue() { return eventq; }
 
-    /**
-     * Execute one event of this system's kernel. @return false when
-     * the kernel has fully drained. Drivers and quiescence loops must
-     * step the *system*, not the raw queue: a sharded system advances
-     * its channel shards here, and eventQueue() (the core queue) may
-     * be legitimately empty while shards still hold events.
-     */
-    virtual bool step() { return eventq.step(); }
-
     /** Assign a fresh request id. */
     std::uint64_t nextRequestId() { return ++lastId; }
 
@@ -157,7 +148,7 @@ class MemorySystem
                          "%s not quiescent after %llu events",
                          name().c_str(),
                          static_cast<unsigned long long>(maxEvents));
-            bool advanced = step();
+            bool advanced = eventq.step();
             VANS_REQUIRE("mem-system", eventq.curTick(), advanced,
                          "kernel drained but %s never became "
                          "quiescent",

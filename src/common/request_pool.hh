@@ -17,13 +17,9 @@
  * the same slot: traced runs reuse one ReqTrace (and its grown hops
  * capacity) per slot instead of allocating per request.
  *
- * Threading (sharded kernel): slots are allocated and released on the
- * core side only -- issue happens from the driver/core context and
- * completion callbacks run in phase B while the channel shards are
- * parked. Shards only read through get() during phase A. The two
- * phases never overlap, so the pool needs no synchronization and the
- * free-list order (hence every handle value) is deterministic for any
- * kernel thread count.
+ * A pool belongs to one world and is touched by one thread, so it
+ * needs no synchronization and its free-list order (hence every
+ * handle value) is deterministic.
  */
 
 #ifndef VANS_COMMON_REQUEST_POOL_HH

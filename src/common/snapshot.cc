@@ -180,11 +180,6 @@ void
 awaitQuiescence(EventQueue &eq, MemorySystem &sys,
                 std::uint64_t maxEvents)
 {
-    // The drain condition lives on MemorySystem so every idle-out
-    // loop (driver, snapshot capture, crash harness) shares one
-    // definition of "done"; @p eq is unused beyond the signature
-    // kept for existing call sites -- the system steps itself
-    // (sharded kernels advance their shards through step()).
     (void)eq;
     sys.drain(maxEvents);
 }

@@ -121,9 +121,9 @@ class WorldSnapshot
 };
 
 /**
- * Step @p eq until @p sys reports quiescent() (in-flight work done,
- * perpetual guarded timers may remain pending). Panics if the queue
- * drains or @p maxEvents fire without reaching quiescence.
+ * Same as sys.drain(maxEvents); @p eq is unused. New code calls
+ * MemorySystem::drain directly. This form remains because the
+ * benchmark under perfbench/ calls it.
  */
 void awaitQuiescence(EventQueue &eq, MemorySystem &sys,
                      std::uint64_t maxEvents = 50000000);

@@ -30,17 +30,16 @@
 #include "common/event_queue.hh"
 #include "common/mem_system.hh"
 #include "common/parallel.hh"
-#include "common/sharded_kernel.hh"
 #include "common/snapshot.hh"
 
 namespace vans
 {
 
-/** Builds a memory system whose channels live on @p kern's shards. */
-using ShardedFactory =
-    std::function<std::unique_ptr<MemorySystem>(ShardedKernel &)>;
-
-/** Runs indexed, independent simulation points across host cores. */
+/**
+ * Runs indexed, independent simulation points across host cores.
+ * This is the simulator's only parallelism: each world runs on one
+ * event queue and one thread.
+ */
 class SweepRunner
 {
   public:
@@ -124,7 +123,7 @@ class SweepRunner
         std::unique_ptr<MemorySystem> proto = ws.factory(eq);
         if (proto->snapshotSupported()) {
             ws.warm(*proto);
-            snapshot::awaitQuiescence(eq, *proto);
+            proto->drain();
             ws.snap = snapshot::WorldSnapshot::capture(eq, *proto);
         }
         return ws;
@@ -150,7 +149,7 @@ class SweepRunner
                 ws.snap.restoreInto(eq, *sys);
             } else {
                 ws.warm(*sys);
-                snapshot::awaitQuiescence(eq, *sys);
+                sys->drain();
             }
             out[i] = fn(*sys, i);
         });
@@ -173,29 +172,6 @@ class SweepRunner
         return mapForked<R>(
             warmOnce(factory, std::forward<WarmFn>(warm)), n,
             std::forward<PointFn>(fn));
-    }
-
-    /**
-     * Run ONE world with intra-world parallelism instead of fanning
-     * out across worlds: builds a ShardedKernel with one shard per
-     * channel and this runner's thread count, hands it to @p factory
-     * to wire up the system, then evaluates body(MemorySystem&).
-     * Complements map()/mapForked(): a sweep spreads independent
-     * points across cores; runSharded() spreads one point's channel
-     * pipelines. The kernel's conservative-window execution keeps
-     * the result bit-identical for any thread count, so
-     * SweepRunner(1).runSharded(...) is the reference serial run.
-     * The kernel (and its worker threads) outlives the system it
-     * feeds; both are torn down before runSharded() returns.
-     */
-    template <typename Fn>
-    auto
-    runSharded(unsigned channels, Tick window,
-               const ShardedFactory &factory, Fn &&body) const
-    {
-        ShardedKernel kern(channels, window, threads);
-        std::unique_ptr<MemorySystem> sys = factory(kern);
-        return body(*sys);
     }
 
     unsigned threadCount() const { return threads; }

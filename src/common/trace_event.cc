@@ -357,40 +357,4 @@ TraceRecorder::writeChromeJson(const std::string &path) const
         fatal("short write to trace file '%s'", path.c_str());
 }
 
-TraceRecorder
-mergeRecorders(const std::vector<const TraceRecorder *> &parts)
-{
-    TraceRecorder merged;
-    const std::uint64_t nparts = parts.size();
-    for (std::size_t p = 0; p < parts.size(); ++p) {
-        const TraceRecorder &part = *parts[p];
-        std::vector<TrackId> tmap(part.numTracks());
-        for (std::size_t t = 0; t < part.numTracks(); ++t) {
-            tmap[t] = merged.track(
-                part.trackName(static_cast<TrackId>(t)));
-        }
-        std::vector<LabelId> lmap(part.numLabels());
-        for (std::size_t l = 0; l < part.numLabels(); ++l) {
-            lmap[l] = merged.label(
-                part.labelName(static_cast<LabelId>(l)));
-        }
-        for (const TraceEvent &ev : part.events()) {
-            TraceEvent e = ev;
-            e.track = tmap[e.track];
-            e.label = lmap[e.label];
-            if (e.kind == TraceEvent::Kind::FlowBegin ||
-                e.kind == TraceEvent::Kind::FlowEnd) {
-                // Per-recorder flow counters restart at 1 in every
-                // part; spread them into disjoint id spaces. A flow
-                // never crosses recorders (both ends live on the
-                // same shard's tracks), so remapping per part is
-                // sound.
-                e.id = e.id * nparts + p;
-            }
-            merged.appendEvent(e);
-        }
-    }
-    return merged;
-}
-
 } // namespace vans::obs

@@ -157,18 +157,7 @@ class TraceRecorder
     {
         return trackNames[t];
     }
-    const std::string &labelName(LabelId l) const
-    {
-        return labelNames[l];
-    }
     std::size_t numTracks() const { return trackNames.size(); }
-    std::size_t numLabels() const { return labelNames.size(); }
-
-    /**
-     * Append an already-built event (merge support: mergeRecorders
-     * re-emits remapped events from per-shard recordings).
-     */
-    void appendEvent(const TraceEvent &ev) { evs.push_back(ev); }
 
     /**
      * Drop recorded events (interned tables survive, so ids stay
@@ -192,19 +181,6 @@ class TraceRecorder
     std::vector<TraceEvent> evs;
     std::uint64_t nextFlowId = 1;
 };
-
-/**
- * Stitch several recordings (the core + per-shard recorders of one
- * sharded world) into one timeline. Tracks and labels are re-interned
- * by name (shard recorders use globally unique track names); flow ids
- * are namespaced per part so per-recorder counters never collide;
- * async (request) ids are global request ids and pass through. Part
- * order and per-part event order are deterministic, so the merged
- * recording -- and its toChromeJson() rendering -- byte-compares
- * across kernel thread counts.
- */
-TraceRecorder
-mergeRecorders(const std::vector<const TraceRecorder *> &parts);
 
 } // namespace vans::obs
 

@@ -24,10 +24,8 @@ Driver::Driver(MemorySystem &memory)
 void
 Driver::runUntil(const std::function<bool()> &pred)
 {
-    // Step the system, not the raw queue: a sharded system advances
-    // its channel shards here while the core queue may be empty.
     while (!pred()) {
-        if (!mem.step())
+        if (!eq.step())
             panic("event queue drained before condition was met");
     }
 }

@@ -55,16 +55,17 @@ class NvramDimm
     bool
     writeQuiescent() const
     {
-        return lsqStage.writeQuiescent() && rmwStage.writeQuiescent() &&
-               aitStage.writeQuiescent();
+        return lsqStage.writeQuiescent() && aitStage.writeQuiescent() &&
+               rmwStage.writeQuiescent();
     }
 
-    /** Snapshot precondition: all three stages fully idle. */
+    /** Snapshot precondition: all three stages fully idle. The RMW
+     *  probe walks its entry map, so it goes last. */
     bool
     quiescent() const
     {
-        return lsqStage.quiescent() && rmwStage.quiescent() &&
-               aitStage.quiescent();
+        return lsqStage.quiescent() && aitStage.quiescent() &&
+               rmwStage.quiescent();
     }
 
     /** Forwarded to the iMC so WPQ draining can resume. */

@@ -23,11 +23,6 @@
  * The cache is volatile: dirty lines die with a power cut, which is
  * why Memory mode reports persistSupported() == false at the system
  * level and why the write-through path exists at all.
- *
- * All state is channel-side: in sharded mode the cache is clocked by
- * its channel's shard queue and touched only by that shard (or by
- * the core between phases), so serial and sharded runs stay
- * bit-identical.
  */
 
 #ifndef VANS_NVRAM_DRAM_CACHE_HH

@@ -14,48 +14,20 @@ Imc::Imc(EventQueue &eq, RequestPool &req_pool,
          const NvramConfig &config, const std::string &name)
     : eventq(eq), pool(req_pool), cfg(config), statGroup(name)
 {
-    buildChannels(name);
-}
-
-Imc::Imc(ShardedKernel &kernel, RequestPool &req_pool,
-         const NvramConfig &config, const std::string &name)
-    : eventq(kernel.core()), pool(req_pool), kern(&kernel),
-      cfg(config), statGroup(name)
-{
-    VANS_REQUIRE("imc", 0, kernel.numChannels() == config.numDimms,
-                 "kernel has %u shards for %u channels",
-                 kernel.numChannels(), config.numDimms);
-    // The window may never exceed the lookahead: a core event at t
-    // schedules channel work at t + coreToImcNs, which must land at
-    // or after the channel clocks (the window end).
-    VANS_REQUIRE("imc", 0,
-                 kernel.window() <= nsToTicks(config.coreToImcNs),
-                 "shard window %llu exceeds the %g ns core-to-iMC "
-                 "lookahead",
-                 static_cast<unsigned long long>(kernel.window()),
-                 config.coreToImcNs);
-    buildChannels(name);
-}
-
-void
-Imc::buildChannels(const std::string &name)
-{
     cfg.validate();
     channels.resize(cfg.numDimms);
     for (unsigned i = 0; i < cfg.numDimms; ++i) {
         Channel &ch = channels[i];
-        ch.idx = i;
-        ch.q = kern ? &kern->channelQueue(i) : &eventq;
         ch.stats = std::make_unique<StatGroup>(
             name + ".ch" + std::to_string(i));
         ch.dimm = std::make_unique<NvramDimm>(
-            *ch.q, cfg, name + ".dimm" + std::to_string(i));
+            eventq, cfg, name + ".dimm" + std::to_string(i));
         if (cfg.memoryMode()) {
             // Memory mode: the DRAM cache interposes. LSQ space
             // freed resumes the cache's writeback forwarding; cache
             // writeback-window space freed resumes the WPQ drain.
             ch.dcache = std::make_unique<DramCache>(
-                *ch.q, cfg, *ch.dimm,
+                eventq, cfg, *ch.dimm,
                 name + ".dcache" + std::to_string(i));
             ch.dimm->setWriteSpaceCallback(
                 [dc = ch.dcache.get()] { dc->nvmSpaceFreed(); });
@@ -125,43 +97,17 @@ void
 Imc::attachTracer(obs::TraceRecorder &rec, const std::string &name)
 {
     tracer = &rec;
+    lblBusRead = rec.label("bus_rd");
+    lblBusWrite = rec.label("bus_wr");
     for (unsigned i = 0; i < channels.size(); ++i) {
         Channel &ch = channels[i];
-        ch.tracer = &rec;
         ch.busTrack =
             rec.track(name + ".ch" + std::to_string(i) + ".bus");
-        ch.lblBusRead = rec.label("bus_rd");
-        ch.lblBusWrite = rec.label("bus_wr");
         ch.dimm->attachTracer(rec,
                               name + ".dimm" + std::to_string(i));
         if (ch.dcache) {
             ch.dcache->attachTracer(
                 rec, name + ".dcache" + std::to_string(i));
-        }
-    }
-}
-
-void
-Imc::attachTracer(obs::TraceRecorder &core_rec,
-                  const std::vector<obs::TraceRecorder *> &chan_recs,
-                  const std::string &name)
-{
-    VANS_REQUIRE("imc", 0, chan_recs.size() == channels.size(),
-                 "%zu channel recorders for %zu channels",
-                 chan_recs.size(), channels.size());
-    tracer = &core_rec;
-    for (unsigned i = 0; i < channels.size(); ++i) {
-        Channel &ch = channels[i];
-        ch.tracer = chan_recs[i];
-        ch.busTrack = ch.tracer->track(name + ".ch" +
-                                       std::to_string(i) + ".bus");
-        ch.lblBusRead = ch.tracer->label("bus_rd");
-        ch.lblBusWrite = ch.tracer->label("bus_wr");
-        ch.dimm->attachTracer(*ch.tracer,
-                              name + ".dimm" + std::to_string(i));
-        if (ch.dcache) {
-            ch.dcache->attachTracer(
-                *ch.tracer, name + ".dcache" + std::to_string(i));
         }
     }
 }
@@ -187,7 +133,7 @@ Imc::dimmOf(Addr addr) const
 Tick
 Imc::busTransfer(Channel &ch, bool write, std::uint32_t bytes)
 {
-    Tick now = ch.q->curTick();
+    Tick now = eventq.curTick();
     Tick start = std::max(now, ch.bus.freeAt);
     if (ch.bus.used && ch.bus.lastWasWrite != write) {
         start += nsToTicks(cfg.busTurnaroundNs);
@@ -199,51 +145,29 @@ Imc::busTransfer(Channel &ch, bool write, std::uint32_t bytes)
     ch.bus.freeAt = start + occupancy;
     ch.bus.lastWasWrite = write;
     ch.bus.used = true;
-    if (ch.tracer) [[unlikely]] {
-        ch.tracer->span(ch.busTrack,
-                        write ? ch.lblBusWrite : ch.lblBusRead,
-                        start, start + occupancy);
+    if (tracer) [[unlikely]] {
+        tracer->span(ch.busTrack, write ? lblBusWrite : lblBusRead,
+                     start, start + occupancy);
     }
     return start + occupancy;
 }
 
 void
-Imc::noteQueued(Channel &ch, RequestHandle h)
+Imc::noteQueued(RequestHandle h)
 {
-    // The hop list lives on the pooled request; safe from the shard
-    // (the core only allocs/releases between phases).
-    if (ch.tracer) [[unlikely]]
-        ch.tracer->onQueued(pool.get(h), ch.q->curTick());
-    if (!lifecycle)
-        return;
-    if (!kern) {
+    if (tracer) [[unlikely]]
+        tracer->onQueued(pool.get(h), eventq.curTick());
+    if (lifecycle)
         lifecycle->onQueued(pool.get(h));
-        return;
-    }
-    // The checker's state is core-side: defer the observation through
-    // the outbox so it applies at the barrier, in (tick, shard,
-    // append-order) order.
-    kern->toCore(ch.idx, ch.q->curTick(),
-                 [lc = lifecycle, p = &pool, h] {
-                     lc->onQueued(p->get(h));
-                 });
 }
 
 void
-Imc::noteServiced(Channel &ch, RequestHandle h)
+Imc::noteServiced(RequestHandle h)
 {
-    if (ch.tracer) [[unlikely]]
-        ch.tracer->onServiced(pool.get(h), ch.q->curTick());
-    if (!lifecycle)
-        return;
-    if (!kern) {
+    if (tracer) [[unlikely]]
+        tracer->onServiced(pool.get(h), eventq.curTick());
+    if (lifecycle)
         lifecycle->onServiced(pool.get(h));
-        return;
-    }
-    kern->toCore(ch.idx, ch.q->curTick(),
-                 [lc = lifecycle, p = &pool, h] {
-                     lc->onServiced(p->get(h));
-                 });
 }
 
 void
@@ -252,24 +176,14 @@ Imc::completeWrite(Channel &ch, RequestHandle h)
     if (persistTracking) [[unlikely]] {
         // WPQ acceptance IS the durability point: record the version
         // (request id) this line would carry after an ADR drain.
-        // Channel-side state, so shard-safe in sharded mode.
         Request &r = pool.get(h);
         Addr line = alignDown(r.addr, cacheLineSize);
         std::uint64_t &v = ch.adrVersions[line];
         if (r.id > v)
             v = r.id;
     }
-    noteServiced(ch, h);
-    Tick when = ch.q->curTick();
-    if (!kern) {
-        pool.get(h).complete(when);
-        return;
-    }
-    // ADR's zero-latency completion crosses the shard boundary at
-    // the same tick: produced in phase A, delivered in phase B.
-    kern->toCore(ch.idx, when, [p = &pool, h, when] {
-        p->get(h).complete(when);
-    });
+    noteServiced(h);
+    pool.get(h).complete(eventq.curTick());
 }
 
 void
@@ -292,11 +206,8 @@ Imc::issueWrite(RequestHandle h)
     double hop_ns = cfg.coreToImcNs;
     if (req.op == MemOp::Clwb || req.op == MemOp::Clflushopt)
         hop_ns += cfg.clwbExtraNs;
-    // Core -> uncore -> iMC pipeline before the WPQ probe. The hop is
-    // also the shard lookahead: this schedules at least one full
-    // window ahead, so the target shard is parked (classic mode:
-    // same queue).
-    ch.q->schedule(
+    // Core -> uncore -> iMC pipeline before the WPQ probe.
+    eventq.schedule(
         eventq.curTick() + nsToTicks(hop_ns),
         [this, ci, h] {
             Channel &c = channels[ci];
@@ -304,7 +215,7 @@ Imc::issueWrite(RequestHandle h)
             --c.pendingWriteArrivals;
             Addr line = alignDown(pool.get(h).addr, cacheLineSize);
             std::uint8_t kind = writeKindOf(pool.get(h).op);
-            noteQueued(c, h);
+            noteQueued(h);
 
             if (wpqContains(c, line)) {
                 // Merge into the pending entry: already in ADR. The
@@ -332,7 +243,7 @@ Imc::wpqInsert(Channel &ch, Addr line, std::uint8_t kind,
 {
     // The WPQ is the 512B ADR domain: it must never stretch beyond
     // its configured 8 x 64B slots.
-    VANS_INVARIANT("imc.wpq", ch.q->curTick(),
+    VANS_INVARIANT("imc.wpq", eventq.curTick(),
                    ch.wpqLines.size() < cfg.wpqEntries,
                    "WPQ overflow: %zu lines, capacity %u",
                    ch.wpqLines.size(), cfg.wpqEntries);
@@ -359,7 +270,7 @@ Imc::wpqDrain(unsigned ci)
     ch.wpqDrainBusy = true;
     ch.wpqFifo.pop_front();
     Tick arrival = busTransfer(ch, true, cacheLineSize);
-    ch.q->schedule(arrival, [this, ci, line] {
+    eventq.schedule(arrival, [this, ci, line] {
         Channel &c = channels[ci];
         // The write kind is read at bus-arrival time, not drain
         // start: stores can merge into a draining line mid-flight
@@ -381,7 +292,7 @@ Imc::wpqDrain(unsigned ci)
         } else {
             // The drain only started because the DIMM had LSQ room;
             // the slot must still be there when the line arrives.
-            VANS_REQUIRE("imc.wpq", c.q->curTick(),
+            VANS_REQUIRE("imc.wpq", eventq.curTick(),
                          c.dimm->canAcceptWrite(line),
                          "WPQ drained into a full DIMM LSQ (line "
                          "%llx)",
@@ -423,7 +334,7 @@ Imc::wpqDrain(unsigned ci)
         }
 
         // Request/grant handshake paces the next drain.
-        c.q->scheduleAfter(nsToTicks(cfg.wpqGrantNs), [this, ci] {
+        eventq.scheduleAfter(nsToTicks(cfg.wpqGrantNs), [this, ci] {
             channels[ci].wpqDrainBusy = false;
             wpqDrain(ci);
         });
@@ -437,13 +348,13 @@ Imc::issueRead(RequestHandle h)
     unsigned ci = dimmOf(pool.get(h).addr);
     Channel &ch = channels[ci];
     ++ch.pendingArrivals;
-    ch.q->schedule(
+    eventq.schedule(
         eventq.curTick() + nsToTicks(cfg.coreToImcNs),
         [this, ci, h] {
             Channel &c = channels[ci];
             --c.pendingArrivals;
             Addr line = alignDown(pool.get(h).addr, cacheLineSize);
-            noteQueued(c, h);
+            noteQueued(h);
 
             // Read-after-write ordering at the iMC: a read that hits
             // a pending WPQ line waits for that line to drain (NT
@@ -467,53 +378,33 @@ Imc::startRead(unsigned ci, RequestHandle h)
         return;
     }
     ++ch.rpqInFlight;
-    VANS_INVARIANT("imc.rpq", ch.q->curTick(),
+    VANS_INVARIANT("imc.rpq", eventq.curTick(),
                    ch.rpqInFlight <= cfg.rpqEntries,
                    "RPQ overflow: %u in flight, capacity %u",
                    ch.rpqInFlight, cfg.rpqEntries);
 
     // Command phase over the bus.
     Tick cmd_arrival = busTransfer(ch, false, 0);
-    ch.q->schedule(cmd_arrival, [this, ci, h] {
+    eventq.schedule(cmd_arrival, [this, ci, h] {
         Channel &c = channels[ci];
         auto done = [this, ci, h](Tick) {
             // Data staged at the DIMM: grant + data return phase.
-            Channel &c2 = channels[ci];
-            noteServiced(c2, h);
+            noteServiced(h);
             Tick data_arrival =
-                busTransfer(c2, false, pool.get(h).size);
+                busTransfer(channels[ci], false, pool.get(h).size);
             Tick at_core = data_arrival + nsToTicks(cfg.coreToImcNs);
-            if (!kern) {
-                // Classic: one event completes the read at the core
-                // and frees the RPQ slot. The completion may release
-                // the handle, so the RPQ bookkeeping never touches
-                // the request afterwards.
-                eventq.schedule(at_core, [this, ci, h, at_core] {
-                    Channel &c3 = channels[ci];
-                    pool.get(h).complete(at_core);
-                    --c3.rpqInFlight;
-                    if (!c3.rpqWaiting.empty()) {
-                        RequestHandle next = c3.rpqWaiting.front();
-                        c3.rpqWaiting.pop_front();
-                        startRead(ci, next);
-                    }
-                });
-                return;
-            }
-            // Sharded: the RPQ slot frees channel-side at the same
-            // tick; the data-at-core completion crosses to the core
-            // shard through the outbox.
-            c2.q->schedule(at_core, [this, ci] {
+            // One event completes the read at the core and frees the
+            // RPQ slot. The completion may release the handle, so the
+            // RPQ bookkeeping never touches the request afterwards.
+            eventq.schedule(at_core, [this, ci, h, at_core] {
                 Channel &c3 = channels[ci];
+                pool.get(h).complete(at_core);
                 --c3.rpqInFlight;
                 if (!c3.rpqWaiting.empty()) {
                     RequestHandle next = c3.rpqWaiting.front();
                     c3.rpqWaiting.pop_front();
                     startRead(ci, next);
                 }
-            });
-            kern->toCore(ci, at_core, [p = &pool, h, at_core] {
-                p->get(h).complete(at_core);
             });
         };
         // Memory mode: the DRAM cache services the line (DRAM-hit
@@ -529,10 +420,7 @@ void
 Imc::issueFence(RequestHandle h)
 {
     sFences->inc();
-    if (lifecycle)
-        lifecycle->onQueued(pool.get(h));
-    if (tracer) [[unlikely]]
-        tracer->onQueued(pool.get(h), eventq.curTick());
+    noteQueued(h);
     pendingFences.push_back(h);
     checkFences();
 }
@@ -543,12 +431,6 @@ Imc::checkFences()
     if (pendingFences.empty())
         return;
 
-    // Core-side in both modes. In sharded mode this runs in phase B
-    // while the shards are parked, so reading channel state and
-    // sealing DIMMs is race-free; the seal's drain check lands on
-    // the channel queue at the window boundary (its clock), never in
-    // the shard's past.
-    //
     // Seal only once the WPQs have drained: sealing earlier would
     // split 256B blocks whose lines are still crossing the bus into
     // separate partial drains, which the real fence does not do.
@@ -582,10 +464,7 @@ Imc::checkFences()
     if (quiet) {
         Tick now = eventq.curTick();
         for (RequestHandle f : pendingFences) {
-            if (lifecycle)
-                lifecycle->onServiced(pool.get(f));
-            if (tracer) [[unlikely]]
-                tracer->onServiced(pool.get(f), now);
+            noteServiced(f);
             // complete() may release the handle (issuer callback);
             // the request is not touched again after this call.
             pool.get(f).complete(now);
@@ -606,10 +485,7 @@ void
 Imc::issueSfence(RequestHandle h)
 {
     sSfences->inc();
-    if (lifecycle)
-        lifecycle->onQueued(pool.get(h));
-    if (tracer) [[unlikely]]
-        tracer->onQueued(pool.get(h), eventq.curTick());
+    noteQueued(h);
     Tick ready = eventq.curTick();
     // Sfence drains the NT write-combining buffers. A run cut at a
     // partial cfg.wcBufferBytes buffer pays the partial-drain charge
@@ -630,12 +506,9 @@ Imc::checkSfences()
     if (pendingSfences.empty())
         return;
 
-    // Core-side in both modes, like checkFences: in sharded mode this
-    // runs in phase B while the shards are parked, so reading
-    // channel-side counters is race-free. The sfence condition is
-    // strictly weaker than the fence's: every prior write accepted
-    // into a WPQ (ADR reached) -- no WPQ drain, no DIMM seal, no
-    // write-pipeline quiescence.
+    // The sfence condition is strictly weaker than the fence's: every
+    // prior write accepted into a WPQ (ADR reached) -- no WPQ drain,
+    // no DIMM seal, no write-pipeline quiescence.
     bool adr_quiet = true;
     for (const auto &ch : channels) {
         if (ch.pendingWriteArrivals != 0 || !ch.wpqWaiting.empty()) {
@@ -648,10 +521,7 @@ Imc::checkSfences()
         std::size_t kept = 0;
         for (PendingSfence &s : pendingSfences) {
             if (s.readyAt <= now) {
-                if (lifecycle)
-                    lifecycle->onServiced(pool.get(s.h));
-                if (tracer) [[unlikely]]
-                    tracer->onServiced(pool.get(s.h), now);
+                noteServiced(s.h);
                 // complete() may release the handle; never touched
                 // again after this call.
                 pool.get(s.h).complete(now);
@@ -722,10 +592,17 @@ Imc::quiescent() const
             !ch.wpqFifo.empty() || !ch.wpqWaiting.empty() ||
             ch.wpqDrainBusy || !ch.wpqReadHazards.empty() ||
             ch.rpqInFlight != 0 || !ch.rpqWaiting.empty() ||
-            (ch.dcache && !ch.dcache->quiescent()) ||
-            !ch.dimm->quiescent()) {
+            (ch.dcache && !ch.dcache->quiescent())) {
             return false;
         }
+    }
+    // The DIMM probes walk the RMW entry map, so they run only once
+    // every channel front-end is idle. MemorySystem::drain polls this
+    // after every event, and a drain spends most of its events on
+    // work some front-end or AIT still holds.
+    for (const auto &ch : channels) {
+        if (!ch.dimm->quiescent())
+            return false;
     }
     return true;
 }
@@ -737,17 +614,12 @@ Imc::snapshotTo(snapshot::StateSink &sink) const
                  "snapshot of a non-quiescent iMC");
     sink.tag("imc");
     sink.u64(channels.size());
-    sink.boolean(kern != nullptr);
-    if (kern)
-        sink.u64(kern->windowLimitTick());
     sink.boolean(persistTracking);
     sink.u64(wcFill);
     for (const Channel &ch : channels) {
         sink.u64(ch.bus.freeAt);
         sink.boolean(ch.bus.lastWasWrite);
         sink.boolean(ch.bus.used);
-        if (kern)
-            ch.q->snapshotTo(sink);
         ch.stats->snapshotTo(sink);
         ch.dimm->snapshotTo(sink);
         if (ch.dcache)
@@ -777,25 +649,12 @@ Imc::restoreFrom(snapshot::StateSource &src)
                  "channel count mismatch (%llu vs %zu)",
                  static_cast<unsigned long long>(n),
                  channels.size());
-    bool sharded = src.boolean();
-    VANS_REQUIRE("imc", eventq.curTick(),
-                 sharded == (kern != nullptr),
-                 "kernel mode mismatch: snapshot is %s, world is %s",
-                 sharded ? "sharded" : "classic",
-                 kern ? "sharded" : "classic");
-    if (kern)
-        kern->setWindowLimitTick(src.u64());
     persistTracking = src.boolean();
     wcFill = src.u64();
     for (Channel &ch : channels) {
         ch.bus.freeAt = src.u64();
         ch.bus.lastWasWrite = src.boolean();
         ch.bus.used = src.boolean();
-        // The shard queue restores before the DIMM: the DIMM re-arms
-        // its guarded timers into this queue during restore and must
-        // continue the captured tick/seq stream.
-        if (kern)
-            ch.q->restoreFrom(src);
         ch.stats->restoreFrom(src);
         ch.dimm->restoreFrom(src);
         if (ch.dcache)

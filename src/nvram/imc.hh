@@ -19,16 +19,8 @@
  * prober detects (Fig 7a), and fences complete at write-path
  * quiescence: every pre-fence write has reached AIT write ordering.
  *
- * The iMC runs on either kernel:
- *  - classic: one EventQueue clocks everything (the original mode;
- *    write completions fire synchronously at WPQ entry);
- *  - sharded: a ShardedKernel gives each channel its own queue. All
- *    channel-side state (WPQ/RPQ maps, bus, per-channel stats, the
- *    DIMM pipeline) is touched only by that channel's shard during
- *    phase A or by the core thread between phases; completions and
- *    lifecycle observations cross back through the kernel's
- *    per-shard outboxes. Fences stay core-side: checkFences reads
- *    channel state and seals DIMMs only while the shards are parked.
+ * One EventQueue clocks the whole socket, every channel included;
+ * write completions fire synchronously at WPQ entry.
  */
 
 #ifndef VANS_NVRAM_IMC_HH
@@ -44,7 +36,6 @@
 #include "common/lifecycle.hh"
 #include "common/request.hh"
 #include "common/request_pool.hh"
-#include "common/sharded_kernel.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "nvram/dimm.hh"
@@ -59,13 +50,8 @@ namespace vans::nvram
 class Imc
 {
   public:
-    /** Classic single-queue mode. */
     Imc(EventQueue &eq, RequestPool &pool, const NvramConfig &cfg,
         const std::string &name);
-
-    /** Sharded mode: one channel per kernel shard. */
-    Imc(ShardedKernel &kernel, RequestPool &pool,
-        const NvramConfig &cfg, const std::string &name);
 
     /** Route a 64B line to its DIMM. */
     unsigned dimmOf(Addr addr) const;
@@ -152,11 +138,7 @@ class Imc
     /**
      * Lifecycle observer (verify=on): the iMC reports the queued /
      * serviced transitions of every request so the checker can
-     * re-derive the request state machine. Never owned here. In
-     * sharded mode the channel-side transitions are deferred through
-     * the kernel's outboxes and applied core-side at the barrier, in
-     * deterministic order -- the checker itself is never touched
-     * from a shard.
+     * re-derive the request state machine. Never owned here.
      */
     verify::RequestLifecycleChecker *lifecycle = nullptr;
 
@@ -170,17 +152,6 @@ class Imc
                       const std::string &name);
 
     /**
-     * Sharded-mode tracing: channel @p ci's components record into
-     * @p chan_recs[ci] (touched only by that shard); @p core_rec
-     * takes the core-side events (fences, request retirement).
-     * Recordings are stitched back into one timeline by
-     * obs::mergeRecorders.
-     */
-    void attachTracer(obs::TraceRecorder &core_rec,
-                      const std::vector<obs::TraceRecorder *> &chan_recs,
-                      const std::string &name);
-
-    /**
      * True when nothing is queued or in flight anywhere on the
      * NVRAM side: WPQs drained, no RPQ reads, no pending fences,
      * no scheduled fence poll.
@@ -188,10 +159,8 @@ class Imc
     bool quiescent() const;
 
     /**
-     * Serialize per-channel bus state, stats and every DIMM -- plus,
-     * in sharded mode, every channel shard's queue counters and the
-     * kernel's window boundary, so a restored world reproduces the
-     * exact window grid. Requires quiescent().
+     * Serialize per-channel bus state, stats and every DIMM.
+     * Requires quiescent().
      */
     void snapshotTo(snapshot::StateSink &sink) const;
     void restoreFrom(snapshot::StateSource &src);
@@ -206,16 +175,9 @@ class Imc
 
     struct Channel
     {
-        // simlint-transient(rebuilt by buildChannels: the restoring
-        // iMC numbers its channels before restoreFrom runs)
-        unsigned idx = 0;
-        /** The queue clocking this channel: the shard queue in
-         *  sharded mode, the shared queue in classic mode. */
-        EventQueue *q = nullptr;
         std::unique_ptr<NvramDimm> dimm;
         /** Memory-mode DRAM cache between the channel front-end and
-         *  the DIMM (null in App Direct). Channel-side state: built
-         *  on this channel's queue, touched only by its shard. */
+         *  the DIMM (null in App Direct). */
         std::unique_ptr<DramCache> dcache;
         std::unique_ptr<StatGroup> stats;
         /** Cached per-channel counters: StatGroup::scalar takes a
@@ -287,24 +249,13 @@ class Imc
         /**
          * ADR durability record: per 64B line, the id of the last
          * write accepted into this channel's WPQ. Only populated
-         * under persistTracking (crash runs); channel-side state,
-         * touched exclusively by this channel's shard.
+         * under persistTracking (crash runs).
          */
         std::unordered_map<Addr, std::uint64_t> adrVersions;
-        obs::TraceRecorder *tracer = nullptr;
         // simlint-transient(trace wiring re-established by
         // attachTracer in the restored world)
         std::uint16_t busTrack = 0; ///< Valid while tracer set.
-        // simlint-transient(trace label id, re-interned on
-        // attachTracer)
-        std::uint16_t lblBusRead = 0;
-        // simlint-transient(trace label id, re-interned on
-        // attachTracer)
-        std::uint16_t lblBusWrite = 0;
     };
-
-    /** Shared constructor body. */
-    void buildChannels(const std::string &name);
 
     /** Resolve the per-channel hot-path stat counters. */
     void cacheStatPointers(Channel &ch);
@@ -325,16 +276,11 @@ class Imc
      */
     Tick busTransfer(Channel &ch, bool write, std::uint32_t bytes);
 
-    /** Channel-side lifecycle/trace observation points. */
-    void noteQueued(Channel &ch, RequestHandle h);
-    void noteServiced(Channel &ch, RequestHandle h);
+    /** Lifecycle/trace observation points (request at the iMC). */
+    void noteQueued(RequestHandle h);
+    void noteServiced(RequestHandle h);
 
-    /**
-     * Complete a write at the channel's current tick: synchronously
-     * in classic mode (ADR zero-latency completion), via the
-     * barrier-merged outbox in sharded mode -- same tick, delivered
-     * in phase B.
-     */
+    /** Complete a write now: ADR's zero-latency completion. */
     void completeWrite(Channel &ch, RequestHandle h);
 
     void wpqInsert(Channel &ch, Addr line, std::uint8_t kind,
@@ -344,10 +290,9 @@ class Imc
     void checkFences();
     void checkSfences();
 
-    EventQueue &eventq; ///< Core queue (both modes).
+    EventQueue &eventq;
     /** The owning system's request pool (handles index into it). */
     RequestPool &pool;
-    ShardedKernel *kern = nullptr;
     // simlint-transient(construction-time configuration: capture and
     // restore worlds are built from the same NvramConfig)
     NvramConfig cfg;
@@ -403,6 +348,10 @@ class Imc
     StatScalar *sWcPartialDrains = nullptr;
 
     obs::TraceRecorder *tracer = nullptr;
+    // simlint-transient(trace label id, re-interned on attachTracer)
+    std::uint16_t lblBusRead = 0;
+    // simlint-transient(trace label id, re-interned on attachTracer)
+    std::uint16_t lblBusWrite = 0;
 };
 
 } // namespace vans::nvram

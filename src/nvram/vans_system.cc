@@ -21,67 +21,14 @@ VansSystem::VansSystem(EventQueue &eq, const NvramConfig &config,
       kernelStats(sysName + ".kernel"),
       poolStats(sysName + ".reqpool")
 {
-    initObservers();
-}
-
-VansSystem::VansSystem(ShardedKernel &kernel, const NvramConfig &config,
-                       std::string name)
-    : MemorySystem(kernel.core()),
-      cfg(config),
-      sysName(std::move(name)),
-      kern(&kernel),
-      imcModel(kernel, reqPool, config, sysName + ".imc"),
-      reqStats(sysName + ".requests"),
-      kernelStats(sysName + ".kernel"),
-      poolStats(sysName + ".reqpool")
-{
-    initObservers();
-}
-
-void
-VansSystem::initObservers()
-{
     if (cfg.verify || verify::envEnabled()) {
         verif = std::make_unique<Verifier>(eventq, cfg, sysName);
         imcModel.lifecycle = &verif->lifecycle();
     }
     if (cfg.trace || obs::envTraceEnabled()) {
         rec = std::make_unique<obs::TraceRecorder>();
-        if (!kern) {
-            imcModel.attachTracer(*rec, sysName + ".imc");
-        } else {
-            // One recorder per shard: channel components record
-            // without synchronization; mergeRecorders stitches the
-            // parts back into one deterministic timeline.
-            std::vector<obs::TraceRecorder *> parts;
-            for (unsigned i = 0; i < kern->numChannels(); ++i) {
-                chanRecs.push_back(
-                    std::make_unique<obs::TraceRecorder>());
-                parts.push_back(chanRecs.back().get());
-            }
-            imcModel.attachTracer(*rec, parts, sysName + ".imc");
-        }
+        imcModel.attachTracer(*rec, sysName + ".imc");
     }
-}
-
-bool
-VansSystem::step()
-{
-    return kern ? kern->step() : eventq.step();
-}
-
-std::string
-VansSystem::traceJson() const
-{
-    if (!rec)
-        return "";
-    if (chanRecs.empty())
-        return rec->toChromeJson();
-    std::vector<const obs::TraceRecorder *> parts;
-    parts.push_back(rec.get());
-    for (const auto &r : chanRecs)
-        parts.push_back(r.get());
-    return obs::mergeRecorders(parts).toChromeJson();
 }
 
 VansSystem::~VansSystem()
@@ -90,7 +37,7 @@ VansSystem::~VansSystem()
     // requests never retire and its write path never drains -- that
     // is the crash, not a leak.
     if (verif && !failed)
-        verif->finalCheck(*this, kern ? kern->idle() : eventq.empty());
+        verif->finalCheck(*this, eventq.empty());
 }
 
 void
@@ -206,32 +153,13 @@ VansSystem::metricsInto(MetricsRegistry &reg)
         }
     }
     reg.add(reqStats);
-    // Event-kernel counters are sampled fresh on each export. Every
-    // exported kernel counter is deterministic across thread counts;
-    // the sharded determinism tests byte-compare this JSON.
+    // Event-kernel and pool counters are sampled fresh on each export.
     kernelStats.reset();
     eventq.statsInto(kernelStats);
-    if (kern)
-        kern->statsInto(kernelStats);
     reg.add(kernelStats);
-    // Pool counters are deterministic for any kernel thread count:
-    // slots are allocated and released core-side only.
     poolStats.reset();
     reqPool.statsInto(poolStats);
     reg.add(poolStats);
-    if (kern) {
-        if (chanKernelStats.empty()) {
-            for (unsigned i = 0; i < kern->numChannels(); ++i) {
-                chanKernelStats.push_back(std::make_unique<StatGroup>(
-                    sysName + ".kernel.ch" + std::to_string(i)));
-            }
-        }
-        for (unsigned i = 0; i < kern->numChannels(); ++i) {
-            chanKernelStats[i]->reset();
-            kern->channelQueue(i).statsInto(*chanKernelStats[i]);
-            reg.add(*chanKernelStats[i]);
-        }
-    }
 }
 
 void

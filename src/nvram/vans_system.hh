@@ -14,7 +14,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/mem_system.hh"
 #include "nvram/imc.hh"
@@ -31,21 +30,10 @@ class VansSystem : public MemorySystem
   public:
     VansSystem(EventQueue &eq, const NvramConfig &cfg,
                std::string name = "vans");
-
-    /**
-     * Sharded-kernel mode: the world is clocked by @p kern (one
-     * shard per channel; kern.core() is this system's eventQueue()).
-     * Drive it through step()/Driver exactly like the classic mode;
-     * results are bit-identical for any kernel thread count.
-     */
-    VansSystem(ShardedKernel &kern, const NvramConfig &cfg,
-               std::string name = "vans");
     ~VansSystem() override;
 
     void issue(RequestHandle h) override;
 
-    /** Steps the sharded kernel when attached, else the queue. */
-    bool step() override;
     std::string name() const override { return sysName; }
     std::uint64_t capacity() const override
     {
@@ -90,17 +78,6 @@ class VansSystem : public MemorySystem
     obs::TraceRecorder *tracer() override { return rec.get(); }
 
     /**
-     * The whole recording as Chrome trace-event JSON: the single
-     * recorder in classic mode, the per-shard recorders stitched
-     * into one deterministic timeline (obs::mergeRecorders) in
-     * sharded mode. Empty string when untraced.
-     */
-    std::string traceJson() const;
-
-    /** The attached sharded kernel, or nullptr in classic mode. */
-    ShardedKernel *shardedKernel() { return kern; }
-
-    /**
      * Register every StatGroup in the tree (iMC, per-DIMM stages,
      * media, wear, on-DIMM DRAM, per-request latency distributions,
      * event-kernel counters) for machine-readable export.
@@ -135,16 +112,12 @@ class VansSystem : public MemorySystem
     persist::PersistenceChecker *persistenceChecker() override;
 
   private:
-    /** Shared constructor tail: verifier + tracer attachment. */
-    void initObservers();
-
     // simlint-transient(construction-time configuration: capture and
     // restore worlds are built from the same NvramConfig)
     NvramConfig cfg;
     // simlint-transient(construction-time name; restoreFrom REQUIREs
     // the stream's stat-group names to match, which pins it)
     std::string sysName;
-    ShardedKernel *kern = nullptr;
     Imc imcModel;
     /** Set by powerFail(): the world is dead -- it accepts no more
      *  issues and skips teardown audits (in-flight requests never
@@ -162,28 +135,18 @@ class VansSystem : public MemorySystem
      * Trace recorder ownership (unique_ptr is legal here only:
      * simlint's tracebyvalue rule). Deliberately excluded from
      * snapshotTo/restoreFrom -- a restored world records a fresh
-     * trace, which the snapshot-identity test relies on. In sharded
-     * mode `rec` holds the core-side events and chanRecs[ci] the
-     * events recorded by channel ci's shard.
+     * trace, which the snapshot-identity test relies on.
      */
     // simlint-transient(documented above: trace recorders are
     // deliberately excluded from snapshotTo/restoreFrom)
     std::unique_ptr<obs::TraceRecorder> rec;
-    // simlint-transient(documented above: trace recorders are
-    // deliberately excluded from snapshotTo/restoreFrom)
-    std::vector<std::unique_ptr<obs::TraceRecorder>> chanRecs;
     // simlint-transient(holds latency distributions only, and
     // distributions are observability-only by the StatGroup snapshot
     // contract; a fork samples its own fresh latencies)
     StatGroup reqStats;
     // simlint-transient(derived view: metricsInto rebuilds it from
-    // the event queue and kernel on every export)
+    // the event queue on every export)
     StatGroup kernelStats;
-
-    /** Per-shard kernel counters, refreshed on each export. */
-    // simlint-transient(derived view rebuilt by metricsInto from the
-    // live shard queues on every export)
-    std::vector<std::unique_ptr<StatGroup>> chanKernelStats;
 
     /** Request-pool counters, refreshed on each export. */
     // simlint-transient(derived view: metricsInto rebuilds it from

@@ -224,6 +224,14 @@ struct CheckerSweepParam
     std::uint32_t size;
 };
 
+// Printed by name: gtest's default byte dump would put the name
+// pointer, and so the load address, into every listed test name.
+static void
+PrintTo(const CheckerSweepParam &p, std::ostream *os)
+{
+    *os << p.name;
+}
+
 class CheckerSweep
     : public ::testing::TestWithParam<CheckerSweepParam>
 {};

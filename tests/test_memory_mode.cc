@@ -4,19 +4,17 @@
  * in front of the NVM DIMM must account hits, misses and dirty
  * evictions exactly like a reference direct-mapped model; serve hits
  * at DRAM latency; keep persist-kind stores flowing through to the
- * DIMM; fork/restore bit-identically; and stay bit-identical between
- * serial and sharded execution at any thread count.
+ * DIMM; and fork/restore bit-identically. The six-channel Memory-mode
+ * socket is covered by MemoryModeSharded in test_socket.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/config.hh"
 #include "common/metrics.hh"
-#include "common/sharded_kernel.hh"
 #include "common/snapshot.hh"
 #include "lens/driver.hh"
 #include "nvram/dram_cache.hh"
@@ -53,7 +51,7 @@ plainWriteInto(nvram::VansSystem &sys, Addr addr)
     sys.request(h).onComplete = [&done](Request &) { done = true; };
     sys.issue(h);
     while (!done)
-        sys.step();
+        sys.eventQueue().step();
     sys.pool().release(h);
 }
 
@@ -358,88 +356,4 @@ TEST(MemoryMode, ForkedWorldContinuesBitIdentically)
     std::string rj = stripKernelGroup(metricsJson(ref));
     EXPECT_NE(fj, metricsJson(fork)) << "strip must find the group";
     EXPECT_EQ(fj, rj);
-}
-
-namespace
-{
-
-/** Six-channel memory-mode traffic touching every interleave with
- *  conflict misses, dirty evicts and persist ops. */
-void
-shardWorkload(lens::Driver &drv)
-{
-    std::vector<Addr> addrs;
-    for (unsigned i = 0; i < 96; ++i)
-        addrs.push_back(static_cast<Addr>(i) * 4096 + (i % 4) * 64);
-    drv.streamWrites(addrs, 16);
-    drv.streamReads(addrs, 8);
-    for (unsigned i = 0; i < 96; ++i)
-        drv.read(addrs[i] + 256 * 1024); // Aliasing second pass.
-    for (unsigned i = 0; i < 12; ++i)
-        drv.clwb(static_cast<Addr>(i) * 8192);
-    drv.fence();
-}
-
-} // namespace
-
-TEST(MemoryModeSharded, BitIdenticalAcrossThreadCounts)
-{
-    setQuiet(true);
-    nvram::NvramConfig cfg = memoryConfig();
-    cfg.numDimms = 6;
-    cfg.interleaved = true;
-    cfg.trace = true; // Exercise per-shard recorders + merge.
-
-    auto run = [&cfg](unsigned threads) {
-        ShardedKernel kern(cfg.numDimms, nsToTicks(cfg.coreToImcNs),
-                           threads);
-        nvram::VansSystem sys(kern, cfg, "vans");
-        lens::Driver drv(sys);
-        setQuiet(true);
-        shardWorkload(drv);
-        snapshot::awaitQuiescence(kern.core(), sys);
-        MetricsRegistry reg;
-        sys.metricsInto(reg);
-        return std::make_pair(reg.toJson(), sys.traceJson());
-    };
-
-    auto r1 = run(1);
-    auto r2 = run(2);
-    auto r8 = run(8);
-    EXPECT_EQ(r1.first, r2.first);
-    EXPECT_EQ(r1.first, r8.first);
-    EXPECT_EQ(r1.second, r2.second);
-    EXPECT_EQ(r1.second, r8.second);
-    // The workload actually exercised the caches: misses and dirty
-    // evicts must be present in the byte-compared metrics.
-    EXPECT_NE(r1.first.find("dirty_evicts"), std::string::npos);
-}
-
-TEST(MemoryModeSharded, SerialAndShardedAgree)
-{
-    setQuiet(true);
-    nvram::NvramConfig cfg = memoryConfig();
-    cfg.numDimms = 6;
-    cfg.interleaved = true;
-
-    EventQueue eq;
-    nvram::VansSystem serial(eq, cfg, "vans");
-    lens::Driver sdrv(serial);
-    shardWorkload(sdrv);
-    sdrv.drain();
-
-    ShardedKernel kern(cfg.numDimms, nsToTicks(cfg.coreToImcNs), 2);
-    nvram::VansSystem sharded(kern, cfg, "vans");
-    lens::Driver pdrv(sharded);
-    shardWorkload(pdrv);
-    snapshot::awaitQuiescence(kern.core(), sharded);
-
-    EXPECT_EQ(serial.dcacheScalarSum("hits"),
-              sharded.dcacheScalarSum("hits"));
-    EXPECT_EQ(serial.dcacheScalarSum("misses"),
-              sharded.dcacheScalarSum("misses"));
-    EXPECT_EQ(serial.dcacheScalarSum("dirty_evicts"),
-              sharded.dcacheScalarSum("dirty_evicts"));
-    EXPECT_EQ(serial.dcacheScalarSum("nvm_line_writes"),
-              sharded.dcacheScalarSum("nvm_line_writes"));
 }

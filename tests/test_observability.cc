@@ -608,7 +608,7 @@ TEST(Tracing, RestoredWorldRecordsIdenticalTrace)
     EventQueue ref_eq;
     nvram::VansSystem ref_sys(ref_eq, cfg);
     tracedWarm(ref_sys);
-    snapshot::awaitQuiescence(ref_eq, ref_sys);
+    ref_sys.drain();
     Tick t0 = ref_eq.curTick();
     ASSERT_NE(ref_sys.tracer(), nullptr);
     ref_sys.tracer()->clear();
@@ -619,7 +619,7 @@ TEST(Tracing, RestoredWorldRecordsIdenticalTrace)
     EventQueue proto_eq;
     nvram::VansSystem proto(proto_eq, cfg);
     tracedWarm(proto);
-    snapshot::awaitQuiescence(proto_eq, proto);
+    proto.drain();
     auto snap = snapshot::WorldSnapshot::capture(proto_eq, proto);
 
     EventQueue fork_eq;

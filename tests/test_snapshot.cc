@@ -309,7 +309,7 @@ coldReference(const SystemFactory &factory, std::size_t i)
     EventQueue eq;
     auto sys = factory(eq);
     warmWorkload(*sys);
-    snapshot::awaitQuiescence(eq, *sys);
+    sys->drain();
     return pointWorkload(*sys, i);
 }
 
@@ -349,13 +349,13 @@ TEST(ForkFidelity, RestoredStatsIdenticalAfterIdenticalRun)
     EventQueue ref_eq;
     auto ref_sys = factory(ref_eq);
     warmWorkload(*ref_sys);
-    snapshot::awaitQuiescence(ref_eq, *ref_sys);
+    ref_sys->drain();
 
     // Fork: capture the same warm state from another world.
     EventQueue proto_eq;
     auto proto = factory(proto_eq);
     warmWorkload(*proto);
-    snapshot::awaitQuiescence(proto_eq, *proto);
+    proto->drain();
     auto snap = snapshot::WorldSnapshot::capture(proto_eq, *proto);
     EXPECT_GT(snap.sizeBytes(), 0u);
 
@@ -489,7 +489,7 @@ TEST(ForkFidelityDeathTest, RestoreIntoUsedWorldPanics)
     EventQueue proto_eq;
     auto proto = factory(proto_eq);
     warmWorkload(*proto);
-    snapshot::awaitQuiescence(proto_eq, *proto);
+    proto->drain();
     auto snap = snapshot::WorldSnapshot::capture(proto_eq, *proto);
 
     // Restoring into a world that has already simulated must panic:

@@ -73,7 +73,7 @@ def main():
     ap.add_argument("--threshold-for", metavar="NAME=FRAC",
                     action="append", default=[],
                     help="per-benchmark threshold override "
-                         "(repeatable), e.g. BM_Vans6DimmSharded=0.25")
+                         "(repeatable), e.g. BM_RequestPool=0.08")
     ap.add_argument("--normalize", metavar="NAME", default=None,
                     help="divide throughputs by benchmark NAME's "
                          "(cross-machine comparison)")

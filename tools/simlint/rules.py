@@ -5,7 +5,7 @@ Per-line determinism rules (v1 heritage):
   wallclock      no wall-clock time / ambient randomness in model code
   mutablestatic  no unguarded mutable statics
   tracebyvalue   TraceRecorder held only via raw pointer outside owner
-  shardshared    threading primitives only in the concurrency layer
+  threadshared   threading primitives only in the concurrency layer
 
 Declaration-aware rules (v2):
 
@@ -210,8 +210,6 @@ def rule_tracebyvalue(project):
 
 
 THREADING_OWNER_FILES = (
-    "src/common/sharded_kernel.hh",
-    "src/common/sharded_kernel.cc",
     "src/common/parallel.hh",
     "src/common/parallel.cc",
     "src/common/check.hh",
@@ -224,7 +222,7 @@ THREADING_RE = re.compile(
     r"promise|async|barrier|latch|semaphore)\b")
 
 
-def rule_shardshared(project):
+def rule_threadshared(project):
     out = []
     for sf in project.files:
         if sf.rel in THREADING_OWNER_FILES:
@@ -232,14 +230,14 @@ def rule_shardshared(project):
         ai = project.annots[sf.rel]
         for lineno, code in enumerate(sf.code_lines, 1):
             tm = THREADING_RE.search(code)
-            if tm and not ai.allowed("shardshared", lineno):
+            if tm and not ai.allowed("threadshared", lineno):
                 out.append(Finding(
-                    "shardshared", sf.rel, lineno,
-                    f"{tm.group(0)} outside the concurrency layer: "
-                    "cross-shard state must flow through the sharded "
-                    "kernel's outbox/barrier merge (or annotate with "
-                    "simlint-allow(shardshared: why this sharing is "
-                    "deterministic))"))
+                    "threadshared", sf.rel, lineno,
+                    f"{tm.group(0)} outside the concurrency layer: a "
+                    "world runs on one thread and parallel sweep "
+                    "points share no simulated state (or annotate "
+                    "with simlint-allow(threadshared: why this "
+                    "sharing is deterministic))"))
     return out
 
 
@@ -681,9 +679,9 @@ ALL_RULES = {
     "tracebyvalue": (rule_tracebyvalue,
                      "TraceRecorder referenced only through a raw "
                      "pointer outside its owner"),
-    "shardshared": (rule_shardshared,
-                    "Threading primitives only in the concurrency "
-                    "layer"),
+    "threadshared": (rule_threadshared,
+                     "Threading primitives only in the concurrency "
+                     "layer"),
     "snapshotcover": (rule_snapshotcover,
                       "Every member of a snapshot-capable class is "
                       "serialized in snapshotTo AND restoreFrom, or "
