@@ -27,11 +27,10 @@ CpuCore::syncTo(Tick when)
     }
 }
 
-std::shared_ptr<CpuCore::Pending>
-CpuCore::issueRead(Addr addr, bool pre_translate)
+RequestHandle
+CpuCore::startRead(Addr addr, bool pre_translate,
+                   const std::shared_ptr<Pending> &pending)
 {
-    auto pending = std::make_shared<Pending>();
-    syncTo(coreTime);
     RequestHandle h = mem.makeRequest(addr, MemOp::Read);
     Request &req = mem.request(h);
     req.preTranslate = pre_translate;
@@ -40,12 +39,46 @@ CpuCore::issueRead(Addr addr, bool pre_translate)
         pending->at = r.completeTick;
         p->release(h);
     };
+    return h;
+}
+
+std::shared_ptr<CpuCore::Pending>
+CpuCore::issueRead(Addr addr, bool pre_translate)
+{
+    auto pending = std::make_shared<Pending>();
+    syncTo(coreTime);
+    RequestHandle h = startRead(addr, pre_translate, pending);
+    Request &req = mem.request(h);
     if (!loadFilter || loadFilter(req))
         mem.issue(h);
     else
         req.complete(eq.curTick()); // Absorbed by an optimization.
     return pending;
 }
+
+/**
+ * Polls the prerequisite every 5 ns and issues the gated read once it
+ * completes. Each poll schedules a copy of itself, so the event owns
+ * its state and nothing outlives the last poll.
+ */
+struct CpuCore::GatedRead
+{
+    CpuCore *core;
+    std::shared_ptr<Pending> after;
+    std::shared_ptr<Pending> pending;
+    Addr addr;
+    bool preTranslate;
+
+    void
+    operator()() const
+    {
+        if (!after->done) {
+            core->eq.scheduleAfter(nsToTicks(5), *this);
+            return;
+        }
+        core->mem.issue(core->startRead(addr, preTranslate, pending));
+    }
+};
 
 std::shared_ptr<CpuCore::Pending>
 CpuCore::issueReadAfter(const std::shared_ptr<Pending> &after,
@@ -54,25 +87,10 @@ CpuCore::issueReadAfter(const std::shared_ptr<Pending> &after,
     if (!after || after->done)
         return issueRead(addr, pre_translate);
     auto pending = std::make_shared<Pending>();
-    // Poll-free chaining: schedule the issue when the prerequisite
-    // completes by wrapping its completion flag in a watcher event.
-    auto watcher = std::make_shared<std::function<void()>>();
-    *watcher = [this, after, addr, pre_translate, pending, watcher] {
-        if (!after->done) {
-            eq.scheduleAfter(nsToTicks(5), *watcher);
-            return;
-        }
-        RequestHandle h = mem.makeRequest(addr, MemOp::Read);
-        Request &req = mem.request(h);
-        req.preTranslate = pre_translate;
-        req.onComplete = [pending, p = &mem.pool(), h](Request &r) {
-            pending->done = true;
-            pending->at = r.completeTick;
-            p->release(h);
-        };
-        mem.issue(h);
-    };
-    eq.scheduleAfter(nsToTicks(5), *watcher);
+    // The translation gates this load only: a GatedRead event polls
+    // the walk's completion flag and issues the load after it.
+    eq.scheduleAfter(nsToTicks(5),
+                     GatedRead{this, after, pending, addr, pre_translate});
     return pending;
 }
 

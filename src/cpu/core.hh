@@ -103,6 +103,13 @@ class CpuCore
     issueReadAfter(const std::shared_ptr<Pending> &after, Addr addr,
                    bool pre_translate);
 
+    /** The event that issues a translation-gated read (core.cc). */
+    struct GatedRead;
+
+    /** Send a read to memory; its completion fills @p pending. */
+    RequestHandle startRead(Addr addr, bool pre_translate,
+                            const std::shared_ptr<Pending> &pending);
+
     void issueWrite(Addr addr, MemOp op);
 
     /** Block until @p p completes; @return completion tick. */

@@ -1,7 +1,6 @@
 #include "dram/controller.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/check.hh"
 #include "common/logging.hh"
@@ -10,11 +9,6 @@
 
 namespace vans::dram
 {
-
-namespace
-{
-constexpr Tick never = std::numeric_limits<Tick>::max();
-} // namespace
 
 DramController::DramController(EventQueue &eq, const DramTiming &timing,
                                const DramGeometry &geometry,
@@ -25,11 +19,17 @@ DramController::DramController(EventQueue &eq, const DramTiming &timing,
       map(geometry, ms),
       policy(sched_policy),
       banks(geometry.totalBanks()),
+      prices(2 * geometry.totalBanks()),
       lastCasInGroup(geometry.ranks * geometry.bankGroups, 0),
       lastActInGroup(geometry.ranks * geometry.bankGroups, 0),
       nextRefresh(spec.tREFI ? spec.cyc(spec.tREFI) : never),
       statGroup(std::move(name))
 {
+    // LineReq packs the bank, row and column into 16, 32 and 16 bits.
+    if (banks.size() > 0xffff || geometry.rowsPerBank() > 0xffffffffull ||
+        geometry.rowBytes / cacheLineSize > 0x10000)
+        fatal("DRAM geometry too large for %s's line requests",
+              statGroup.name().c_str());
     if (verify::envEnabled())
         enableOnlineCheck();
     cacheStatPointers();
@@ -82,8 +82,13 @@ DramController::~DramController()
 }
 
 void
-DramController::emit(const DramCommand &cmd)
+DramController::emit(DramCmd type, Tick at, unsigned bank,
+                     std::uint64_t row, std::uint64_t column)
 {
+    const auto &g = map.geometry();
+    const DramCommand cmd{at, type, bank / (g.banksPerGroup * g.bankGroups),
+                          groupOf(bank) % g.bankGroups,
+                          bank % g.banksPerGroup, row, column};
     cmdTrace.record(cmd);
     if (checker)
         checker->feed(cmd);
@@ -129,9 +134,12 @@ DramController::access(Addr addr, bool write, std::uint32_t size,
 
     Addr base = alignDown(addr, cacheLineSize);
     for (unsigned i = 0; i < lines; ++i) {
+        DramCoord c =
+            map.decode(base + static_cast<Addr>(i) * cacheLineSize);
         LineReq r;
-        r.addr = base + static_cast<Addr>(i) * cacheLineSize;
-        r.coord = map.decode(r.addr);
+        r.row = static_cast<std::uint32_t>(c.row);
+        r.column = static_cast<std::uint16_t>(c.column);
+        r.bank = static_cast<std::uint16_t>(bankIndex(c));
         r.write = write;
         r.enqueueTick = eventq.curTick();
         r.seq = nextSeq++;
@@ -140,6 +148,7 @@ DramController::access(Addr addr, bool write, std::uint32_t size,
     }
     statGroup.scalar(write ? "write_accesses" : "read_accesses").inc();
     statGroup.scalar(write ? "bytes_written" : "bytes_read").inc(size);
+    planValid = false;
     scheduleWakeup(eventq.curTick());
 }
 
@@ -151,6 +160,13 @@ DramController::scheduleWakeup(Tick when)
         return;
     wakeupScheduled = true;
     wakeupAt = when;
+    armWakeup();
+}
+
+void
+DramController::armWakeup()
+{
+    Tick when = wakeupAt;
     eventq.schedule(when, [this, when] {
         if (wakeupScheduled && wakeupAt == when) {
             wakeupScheduled = false;
@@ -160,19 +176,18 @@ DramController::scheduleWakeup(Tick when)
 }
 
 Tick
-DramController::earliestIssue(const LineReq &r) const
+DramController::earliestIssue(unsigned bank, bool hit, bool write) const
 {
-    const BankState &b = banks[bankIndex(r.coord)];
+    const BankState &b = banks[bank];
+    const unsigned g = groupOf(bank);
     Tick t = cmdBusFree;
-    if (b.open && b.row == r.coord.row) {
+    if (hit) {
         // CAS path.
         t = std::max(t, b.casReady);
-        unsigned g = r.coord.rank * map.geometry().bankGroups +
-                     r.coord.bankGroup;
         Tick ccd = std::max(lastCasInGroup[g] + spec.cyc(spec.tCCD_L),
                             lastCasAny + spec.cyc(spec.tCCD_S));
         t = std::max(t, ccd);
-        if (!r.write) {
+        if (!write) {
             // tWTR: write data end -> read CAS.
             t = std::max(t, lastWrDataEnd + spec.cyc(spec.tWTR_L));
         }
@@ -185,8 +200,6 @@ DramController::earliestIssue(const LineReq &r) const
     }
     // Closed: need ACT.
     t = std::max(t, b.actReady);
-    unsigned g = r.coord.rank * map.geometry().bankGroups +
-                 r.coord.bankGroup;
     Tick rrd = std::max(lastActInGroup[g] + spec.cyc(spec.tRRD_L),
                         lastActAny + spec.cyc(spec.tRRD_S));
     t = std::max(t, rrd);
@@ -195,19 +208,29 @@ DramController::earliestIssue(const LineReq &r) const
     return t;
 }
 
-void
-DramController::issueAct(const DramCoord &c)
+Tick
+DramController::price(const LineReq &r, bool hit)
 {
-    BankState &b = banks[bankIndex(c)];
+    Price &p = prices[2 * r.bank + hit];
+    if (p.epoch != priceEpoch) {
+        p.epoch = priceEpoch;
+        p.at = earliestIssue(r.bank, hit, r.write);
+    }
+    return p.at;
+}
+
+void
+DramController::issueAct(const LineReq &r)
+{
+    BankState &b = banks[r.bank];
     Tick now = eventq.curTick();
     b.open = true;
-    b.row = c.row;
+    b.row = r.row;
     b.casReady = now + spec.cyc(spec.tRCD);
     b.preReady = now + spec.cyc(spec.tRAS);
     b.actReady = now + spec.cyc(spec.tRC);
 
-    unsigned g = c.rank * map.geometry().bankGroups + c.bankGroup;
-    lastActInGroup[g] = now;
+    lastActInGroup[groupOf(r.bank)] = now;
     lastActAny = now;
     actWindow.push_back(now);
     while (actWindow.size() > 4)
@@ -215,36 +238,32 @@ DramController::issueAct(const DramCoord &c)
 
     cmdBusFree = now + spec.period();
     statGroup.scalar("cmd_act").inc();
-    emit({now, DramCmd::ACT, c.rank, c.bankGroup, c.bank,
-                     c.row, 0});
+    emit(DramCmd::ACT, now, r.bank, r.row, 0);
 }
 
 void
-DramController::issuePre(const DramCoord &c)
+DramController::issuePre(unsigned bank)
 {
-    BankState &b = banks[bankIndex(c)];
+    BankState &b = banks[bank];
     Tick now = eventq.curTick();
     b.open = false;
     b.actReady = std::max(b.actReady, now + spec.cyc(spec.tRP));
     cmdBusFree = now + spec.period();
     statGroup.scalar("cmd_pre").inc();
-    emit({now, DramCmd::PRE, c.rank, c.bankGroup, c.bank,
-                     b.row, 0});
+    emit(DramCmd::PRE, now, bank, b.row, 0);
 }
 
 void
 DramController::issueCas(const LineReq &r)
 {
-    BankState &b = banks[bankIndex(r.coord)];
+    BankState &b = banks[r.bank];
     Tick now = eventq.curTick();
     Tick lat = r.write ? spec.cyc(spec.tCWL) : spec.cyc(spec.tCL);
     Tick data_start = now + lat;
     Tick data_end = data_start + spec.burstTicks();
 
     dataBusFree = data_end;
-    unsigned g = r.coord.rank * map.geometry().bankGroups +
-                 r.coord.bankGroup;
-    lastCasInGroup[g] = now;
+    lastCasInGroup[groupOf(r.bank)] = now;
     lastCasAny = now;
 
     if (r.write) {
@@ -259,9 +278,8 @@ DramController::issueCas(const LineReq &r)
     }
 
     cmdBusFree = now + spec.period();
-    emit({now, r.write ? DramCmd::WR : DramCmd::RD,
-                     r.coord.rank, r.coord.bankGroup, r.coord.bank,
-                     r.coord.row, r.coord.column});
+    emit(r.write ? DramCmd::WR : DramCmd::RD, now, r.bank, r.row,
+         r.column);
 
     std::uint32_t pi = r.parentIdx;
     Tick enq = r.enqueueTick;
@@ -293,18 +311,11 @@ DramController::doRefresh()
     Tick now = eventq.curTick();
     // Close every open bank first (the process() caller already
     // waited for each bank's preReady), then refresh after tRP.
-    const auto &g = map.geometry();
     for (unsigned i = 0; i < banks.size(); ++i) {
         BankState &b = banks[i];
         if (b.open) {
-            DramCoord c;
-            c.bank = i % g.banksPerGroup;
-            c.bankGroup = (i / g.banksPerGroup) % g.bankGroups;
-            c.rank = i / (g.banksPerGroup * g.bankGroups);
-            c.row = b.row;
             statGroup.scalar("cmd_pre").inc();
-            emit({now, DramCmd::PRE, c.rank, c.bankGroup,
-                             c.bank, b.row, 0});
+            emit(DramCmd::PRE, now, i, b.row, 0);
             b.open = false;
         }
     }
@@ -315,112 +326,104 @@ DramController::doRefresh()
     }
     cmdBusFree = std::max(cmdBusFree, ref_at + spec.period());
     statGroup.scalar("cmd_ref").inc();
-    emit({ref_at, DramCmd::REF, 0, 0, 0, 0, 0});
+    emit(DramCmd::REF, ref_at, 0, 0, 0);
     nextRefresh += spec.cyc(spec.tREFI);
     refreshPending = false;
 }
 
-void
-DramController::process()
+Tick
+DramController::refreshReady() const
 {
-    Tick now = eventq.curTick();
-
-    // Refresh has priority once due.
-    if (spec.tREFI && now >= nextRefresh) {
-        // Wait until every open bank may precharge.
-        Tick ready = cmdBusFree;
-        for (const auto &b : banks) {
-            if (b.open)
-                ready = std::max(ready, b.preReady);
-        }
-        if (ready <= now) {
-            doRefresh();
-            if (!readQueue.empty() || !writeQueue.empty())
-                scheduleWakeup(now + spec.period());
-            else if (spec.tREFI)
-                scheduleWakeup(nextRefresh);
-            return;
-        }
-        scheduleWakeup(ready);
-        return;
+    Tick ready = cmdBusFree;
+    for (const auto &b : banks) {
+        if (b.open)
+            ready = std::max(ready, b.preReady);
     }
+    return ready;
+}
 
-    if (readQueue.empty() && writeQueue.empty()) {
-        if (spec.tREFI)
-            scheduleWakeup(nextRefresh);
-        return;
-    }
-
-    // Pick a request within a queue: FR-FCFS prefers ready row hits,
-    // then any ready request, oldest first. The write scan is
-    // bounded to the scheduler window. Index-based: the queues are
-    // vectors ordered by arrival.
-    constexpr std::size_t none = static_cast<std::size_t>(-1);
-    auto pick = [&](const FifoRing<LineReq> &q, unsigned window) {
-        std::size_t best = none;
-        std::size_t limit = std::min<std::size_t>(q.size(), window);
-        for (std::size_t i = 0; i < limit; ++i) {
-            if (earliestIssue(q.at(i)) > now)
-                continue;
-            const BankState &b = banks[bankIndex(q.at(i).coord)];
-            if (b.open && b.row == q.at(i).coord.row)
-                return i; // Oldest ready row hit wins.
-            if (best == none)
-                best = i;
+DramController::Decision
+DramController::scan(FifoRing<LineReq> &q, std::size_t window, Tick t)
+{
+    // FR-FCFS at the first tick from t on that anything in the window
+    // can issue: the oldest request then ready that hits its open row,
+    // else the oldest ready request.
+    Decision d{never, &q};
+    bool hit_chosen = false;
+    std::size_t limit = std::min(q.size(), window);
+    for (std::size_t i = 0; i < limit; ++i) {
+        const LineReq &r = q.at(i);
+        const BankState &b = banks[r.bank];
+        bool hit = b.open && b.row == r.row;
+        Tick at = std::max(price(r, hit), t);
+        if (at < d.at || (at == d.at && hit && !hit_chosen)) {
+            d.at = at;
+            d.index = i;
+            hit_chosen = hit;
+            if (hit && at == t)
+                break; // Nothing later can beat it.
         }
-        return best;
-    };
-    auto earliest = [&](const FifoRing<LineReq> &q, unsigned window) {
-        Tick best = never;
-        std::size_t limit = std::min<std::size_t>(q.size(), window);
-        for (std::size_t i = 0; i < limit; ++i)
-            best = std::min(best, earliestIssue(q.at(i)));
-        return best;
-    };
+    }
+    return d;
+}
 
-    FifoRing<LineReq> *src = nullptr;
-    std::size_t chosen = none;
+DramController::Decision
+DramController::decide(Tick t)
+{
+    // Refresh has priority once due: wait until every open bank may
+    // precharge.
+    if (refreshDue(t))
+        return {std::max(t, refreshReady())};
+    // Idle: the next command is the refresh.
+    if (readQueue.empty() && writeQueue.empty())
+        return {spec.tREFI ? std::max(nextRefresh, refreshReady())
+                           : never};
+    ++priceEpoch;
+    Decision d{never};
     if (policy == SchedPolicy::FCFS) {
         // Strict arrival order across both queues.
         bool read_first =
             !readQueue.empty() &&
             (writeQueue.empty() ||
              readQueue.front().seq < writeQueue.front().seq);
-        src = read_first ? &readQueue : &writeQueue;
-        if (earliestIssue(src->front()) > now) {
-            scheduleWakeup(std::max(earliestIssue(src->front()),
-                                    now + 1));
-            return;
-        }
-        chosen = 0;
-    } else {
+        d = scan(read_first ? readQueue : writeQueue, 1, t);
+    } else if (!readQueue.empty()) {
         // Strict read priority: while any read is queued, writes
         // hold. A continuous write stream would otherwise keep
         // pushing the write-to-read turnaround (tWTR) ahead of a
         // waiting read forever; writes are posted and drain in the
         // read-free gaps.
-        if (!readQueue.empty()) {
-            src = &readQueue;
-            chosen = pick(readQueue, 64);
-            if (chosen == none) {
-                scheduleWakeup(
-                    std::max(earliest(readQueue, 64), now + 1));
-                return;
-            }
-        } else {
-            src = &writeQueue;
-            chosen = pick(writeQueue, writeScanWindow);
-            if (chosen == none) {
-                scheduleWakeup(std::max(
-                    earliest(writeQueue, writeScanWindow), now + 1));
-                return;
-            }
-        }
+        d = scan(readQueue, 64, t);
+    } else {
+        d = scan(writeQueue, writeScanWindow, t);
     }
+    // If refresh falls due before the request can issue, it goes
+    // first.
+    if (refreshDue(d.at))
+        return {std::max(d.at, refreshReady())};
+    return d;
+}
 
-    if (issueFor(src->at(chosen)))
-        src->eraseAt(chosen);
-    scheduleWakeup(now + spec.period());
+void
+DramController::process()
+{
+    Tick now = eventq.curTick();
+    // The plan made after the last command holds until an access
+    // arrives; nothing else changes what can issue.
+    if (!planValid || plan.at != now)
+        plan = decide(now);
+    planValid = true;
+    if (plan.at == now) {
+        if (!plan.queue)
+            doRefresh();
+        else if (issueFor(plan.queue->at(plan.index)))
+            plan.queue->eraseAt(plan.index);
+        // The command bus is busy for one tCK: plan the next command
+        // from then on and wake exactly when it issues.
+        plan = decide(now + spec.period());
+    }
+    if (plan.at != never)
+        scheduleWakeup(plan.at);
 }
 
 void
@@ -523,20 +526,14 @@ DramController::restoreFrom(snapshot::StateSource &src)
         Ddr4Checker scratch(spec, map.geometry());
         scratch.restoreFrom(src);
     }
-    // Re-arm the refresh wakeup the captured world had pending. The
-    // guarded closure matches scheduleWakeup()'s exactly, and runs
-    // before any post-restore work because restore happens before
-    // the caller issues anything new.
+    // Re-arm the refresh wakeup the captured world had pending. It
+    // runs before any post-restore work because restore happens
+    // before the caller issues anything new, and decides afresh.
+    planValid = false;
     if (wakeup) {
         wakeupScheduled = true;
         wakeupAt = wakeup_at;
-        Tick when = wakeup_at;
-        eventq.schedule(when, [this, when] {
-            if (wakeupScheduled && wakeupAt == when) {
-                wakeupScheduled = false;
-                process();
-            }
-        });
+        armWakeup();
     }
 }
 
@@ -545,8 +542,8 @@ DramController::issueFor(LineReq &r)
 {
     // Hit/miss/conflict classification happens once per line
     // request, at its first service attempt.
-    BankState &b = banks[bankIndex(r.coord)];
-    if (b.open && b.row == r.coord.row) {
+    BankState &b = banks[r.bank];
+    if (b.open && b.row == r.row) {
         if (!r.classified)
             statGroup.scalar("row_hits").inc();
         r.classified = true;
@@ -557,13 +554,13 @@ DramController::issueFor(LineReq &r)
         if (!r.classified)
             statGroup.scalar("row_conflicts").inc();
         r.classified = true;
-        issuePre(r.coord);
+        issuePre(r.bank);
         return false;
     }
     if (!r.classified)
         statGroup.scalar("row_misses").inc();
     r.classified = true;
-    issueAct(r.coord);
+    issueAct(r);
     return false;
 }
 

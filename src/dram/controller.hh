@@ -10,6 +10,12 @@
  * tREFI). An access completes when the last data beat of its last
  * burst leaves (read) or enters (write) the device.
  *
+ * The controller is event-driven: after each command it wakes at the
+ * tick its next command can issue (or when a new access arrives),
+ * never to poll. Timing is priced per (bank, row hit or not), since
+ * every queued request of one such class shares its earliest-issue
+ * tick.
+ *
  * The same controller class serves three masters in this repo: the
  * DDR4 main memory of the baseline systems, the small on-DIMM DRAM
  * that backs the AIT inside the NVRAM DIMM, and (with pcmLike()
@@ -20,6 +26,7 @@
 #define VANS_DRAM_CONTROLLER_HH
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -117,6 +124,8 @@ class DramController
     void restoreFrom(snapshot::StateSource &src);
 
   private:
+    static constexpr Tick never = std::numeric_limits<Tick>::max();
+
     // simlint-transient(Parent fan-in nodes exist only while a line
     // request is in flight; snapshotTo REQUIREs both request queues
     // empty, so none can be live at capture)
@@ -127,19 +136,26 @@ class DramController
         Tick lastData = 0;
     };
 
+    /**
+     * One queued cache-line transaction, packed: a starved posted-write
+     * queue can hold hundreds of thousands of them. The address is
+     * decoded once at enqueue and not kept.
+     */
     // simlint-transient(LineReq entries live in readQueue/writeQueue,
     // which snapshotTo REQUIREs empty -- in-flight requests are never
     // part of a captured world)
     struct LineReq
     {
-        DramCoord coord;
-        Addr addr;
-        bool write;
-        Tick enqueueTick;
-        std::uint64_t seq = 0;   ///< Arrival order (FCFS).
-        bool classified = false; ///< Hit/miss stat recorded.
+        Tick enqueueTick = 0;
+        std::uint64_t seq = 0;       ///< Arrival order (FCFS).
+        std::uint32_t row = 0;
         std::uint32_t parentIdx = 0; ///< Fan-in slot in parents.
+        std::uint16_t column = 0;    ///< In cache-line units.
+        std::uint16_t bank = 0;      ///< Flattened bank index.
+        bool write = false;
+        bool classified = false; ///< Hit/miss stat recorded.
     };
+    static_assert(sizeof(LineReq) <= 32, "LineReq must stay packed");
 
     struct BankState
     {
@@ -148,6 +164,30 @@ class DramController
         Tick actReady = 0; ///< Earliest next ACT.
         Tick casReady = 0; ///< Earliest next RD/WR (row must be open).
         Tick preReady = 0; ///< Earliest next PRE.
+    };
+
+    /**
+     * The next command: the tick it issues and the request it serves
+     * (no queue: the refresh), or @c at == never when nothing will
+     * issue.
+     */
+    // simlint-transient(a decision is derived from the queues and the
+    // timing state; the controller's cached plan is dropped on restore)
+    struct Decision
+    {
+        Tick at;
+        FifoRing<LineReq> *queue = nullptr;
+        std::size_t index = 0;
+    };
+
+    /** Earliest-issue tick of one (bank, row-hit or not) class,
+     *  valid for the decision numbered @c epoch. */
+    // simlint-transient(per-decision memo: a restored world starts
+    // new decisions, which recompute every price they read)
+    struct Price
+    {
+        std::uint64_t epoch = 0;
+        Tick at = 0;
     };
 
     /** Flattened bank index. */
@@ -159,21 +199,53 @@ class DramController
                    g.banksPerGroup + c.bank;
     }
 
+    /** (rank, bank group) index of flattened bank @p bank. */
+    unsigned
+    groupOf(unsigned bank) const
+    {
+        return bank / map.geometry().banksPerGroup;
+    }
+
     void scheduleWakeup(Tick when);
     void process();
 
-    /** Record @p cmd in the trace and feed the online checker. */
-    void emit(const DramCommand &cmd);
+    /**
+     * The next command at or after tick @p t, given the current
+     * timing state and queues: what a poll every tick from @p t on
+     * would issue first, and when.
+     */
+    Decision decide(Tick t);
 
-    /** Earliest tick the next required command for @p r can issue. */
-    Tick earliestIssue(const LineReq &r) const;
+    /** FR-FCFS over the first @p window requests of @p q, in one
+     *  pass that prices each (bank, class) once. */
+    Decision scan(FifoRing<LineReq> &q, std::size_t window, Tick t);
+
+    bool refreshDue(Tick t) const { return spec.tREFI && t >= nextRefresh; }
+
+    /** Earliest tick every open bank may precharge for refresh. */
+    Tick refreshReady() const;
+
+    /** Record @p cmd in the trace and feed the online checker. */
+    void emit(DramCmd cmd, Tick at, unsigned bank, std::uint64_t row,
+              std::uint64_t column);
+
+    /**
+     * Earliest tick the next command of a request to @p bank can
+     * issue: its CAS when @p hit (the row is open), else the PRE of a
+     * conflicting open row or the ACT of a closed bank. Every queued
+     * request of one bank and class shares this tick.
+     */
+    Tick earliestIssue(unsigned bank, bool hit, bool write) const;
+
+    /** earliestIssue() of @p r, memoized per decision. */
+    Tick price(const LineReq &r, bool hit);
 
     /** Issue the next required command for @p r at the current tick.
      *  @return true if @p r received its CAS (data scheduled). */
     bool issueFor(LineReq &r);
 
-    void issueAct(const DramCoord &c);
-    void issuePre(const DramCoord &c);
+    void issueAct(const LineReq &r);
+    void issuePre(unsigned bank);
     void issueCas(const LineReq &r);
     void doRefresh();
 
@@ -195,6 +267,12 @@ class DramController
     void releaseParent(std::uint32_t idx);
 
     std::vector<BankState> banks;
+    // simlint-transient(per-decision memo: each decide() starts a
+    // new epoch, so no entry outlives the call that filled it)
+    std::vector<Price> prices;
+    // simlint-transient(numbers the decisions the prices belong to;
+    // only equality with a Price's epoch matters)
+    std::uint64_t priceEpoch = 0;
     /** Reads and writes queue separately: reads have strict
      *  priority (writes are posted), and the write scan is bounded
      *  to a scheduler window to keep per-command cost constant.
@@ -234,8 +312,18 @@ class DramController
     Tick nextRefresh;
     bool refreshPending = false;
 
+    /** One pending wake-up at wakeupAt; an older wake-up event whose
+     *  tick no longer matches is stale and does nothing. */
     bool wakeupScheduled = false;
     Tick wakeupAt = 0;
+    /** Schedule the guarded wake-up event for wakeupAt. */
+    void armWakeup();
+    /** decide() as of the last command; access() invalidates it. */
+    // simlint-transient(derived from the queues and timing state, and
+    // invalid in a restored controller until its first decision)
+    Decision plan{never};
+    // simlint-transient(a restored controller starts without a plan)
+    bool planValid = false;
 
     StatGroup statGroup;
     /** Cached latency averages: the names exceed std::string's SSO

@@ -22,12 +22,20 @@ using namespace vans::dram;
 namespace
 {
 
-/** Run @p n accesses and return (controller, violations). */
-std::vector<Violation>
-runAndCheck(const DramTiming &timing, SchedPolicy policy,
-            unsigned accesses, double write_frac,
-            std::uint64_t addr_space, std::uint64_t seed,
-            std::uint32_t size = 64)
+/** What one batch of random traffic did. */
+struct SweepRun
+{
+    std::vector<Violation> violations;
+    std::uint64_t events = 0;   ///< Events the queue executed.
+    std::size_t commands = 0;   ///< DRAM commands emitted.
+    std::size_t casCommands = 0;
+};
+
+/** Run @p accesses issued at tick 0 until the last completes. */
+SweepRun
+runSweep(const DramTiming &timing, SchedPolicy policy,
+         unsigned accesses, double write_frac, std::uint64_t addr_space,
+         std::uint64_t seed, std::uint32_t size = 64)
 {
     EventQueue eq;
     DramGeometry geom;
@@ -50,8 +58,26 @@ runAndCheck(const DramTiming &timing, SchedPolicy policy,
     }
     EXPECT_EQ(done, accesses);
 
+    SweepRun out;
     Ddr4Checker checker(timing, geom);
-    return checker.check(ctrl.trace().commands());
+    out.violations = checker.check(ctrl.trace().commands());
+    out.events = eq.executed();
+    out.commands = ctrl.trace().commands().size();
+    for (const DramCommand &c : ctrl.trace().commands())
+        out.casCommands += c.cmd == DramCmd::RD || c.cmd == DramCmd::WR;
+    return out;
+}
+
+/** Run a batch and return its protocol violations. */
+std::vector<Violation>
+runAndCheck(const DramTiming &timing, SchedPolicy policy,
+            unsigned accesses, double write_frac,
+            std::uint64_t addr_space, std::uint64_t seed,
+            std::uint32_t size = 64)
+{
+    return runSweep(timing, policy, accesses, write_frac, addr_space,
+                    seed, size)
+        .violations;
 }
 
 } // namespace
@@ -245,6 +271,20 @@ TEST_P(CheckerSweep, ControllerEmitsLegalDdr4)
         ADD_FAILURE() << p.name << ": " << viol.rule << " at cmd "
                       << viol.cmdIndex << ": " << viol.detail;
     }
+}
+
+// The controller wakes only when a command can issue: every executed
+// event is a wake-up that issues at least one command, a CAS's data
+// completion, or the one wake-up the batch's arrival schedules. A
+// wake-up that finds nothing to issue (a tCK poll) breaks the budget.
+TEST_P(CheckerSweep, WakeupsOnlyWhenACommandIssues)
+{
+    const auto &p = GetParam();
+    SweepRun r = runSweep(DramTiming::ddr4_2666(), SchedPolicy::FRFCFS,
+                          400, p.writeFrac, p.addrSpace, 11, p.size);
+    EXPECT_LE(r.events, r.commands + r.casCommands + 1)
+        << p.name << ": " << r.commands << " commands, "
+        << r.casCommands << " CAS";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,0 +1,369 @@
+/**
+ * @file
+ * Golden model digests. Outputs are deterministic per seed, so a
+ * change that claims to be a pure refactor or a pure speedup must
+ * leave every hash below unchanged:
+ *
+ *  - the DDR4 command stream (every command and the final tick) of
+ *    the controller's property-sweep traffic, under FR-FCFS, FCFS,
+ *    DDR3 and PCM timing, plus a staggered-arrival pattern whose
+ *    accesses land while the controller waits on a wake-up;
+ *  - the MetricsRegistry JSON of a few small worlds, minus the
+ *    event-kernel groups (those count the simulator's own events,
+ *    not the model's behaviour).
+ *
+ * A deliberate model change re-records the constants and says why.
+ * The hash is 64-bit FNV-1a.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdio>
+#include <string>
+
+#include "baselines/dram_system.hh"
+#include "common/event_queue.hh"
+#include "common/logging.hh"
+#include "common/metrics.hh"
+#include "common/rng.hh"
+#include "dram/controller.hh"
+#include "lens/driver.hh"
+#include "lens/microbench.hh"
+#include "nvram/vans_system.hh"
+
+using namespace vans;
+using namespace vans::dram;
+
+namespace
+{
+
+/** 64-bit FNV-1a over a byte stream. */
+class Fnv1a
+{
+  public:
+    void
+    bytes(const void *data, std::size_t n)
+    {
+        const auto *p = static_cast<const unsigned char *>(data);
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= p[i];
+            h *= 0x100000001b3ull;
+        }
+    }
+
+    void
+    u64(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            unsigned char b = static_cast<unsigned char>(v >> (8 * i));
+            bytes(&b, 1);
+        }
+    }
+
+    std::uint64_t value() const { return h; }
+
+  private:
+    std::uint64_t h = 0xcbf29ce484222325ull;
+};
+
+/** Hash every command of @p ctrl's trace plus @p final_tick. */
+std::uint64_t
+commandDigest(DramController &ctrl, Tick final_tick)
+{
+    Fnv1a f;
+    for (const DramCommand &c : ctrl.trace().commands()) {
+        f.u64(c.tick);
+        f.u64(static_cast<std::uint64_t>(c.cmd));
+        f.u64(c.rank);
+        f.u64(c.bankGroup);
+        f.u64(c.bank);
+        f.u64(c.row);
+        f.u64(c.column);
+    }
+    f.u64(final_tick);
+    return f.value();
+}
+
+std::string
+hex(std::uint64_t v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, v);
+    return buf;
+}
+
+/**
+ * The property-sweep traffic of the DRAM tests: @p accesses issued
+ * at tick 0, run until the last completes.
+ */
+std::uint64_t
+sweepDigest(const DramTiming &timing, SchedPolicy policy,
+            unsigned accesses, double write_frac,
+            std::uint64_t addr_space, std::uint64_t seed,
+            std::uint32_t size)
+{
+    EventQueue eq;
+    DramGeometry geom;
+    geom.capacityBytes = 1ull << 30;
+    DramController ctrl(eq, timing, geom, policy, MapScheme::RowBankCol,
+                        "dut");
+    ctrl.trace().setEnabled(true);
+    Rng rng(seed);
+    unsigned done = 0;
+    for (unsigned i = 0; i < accesses; ++i) {
+        Addr a = rng.below(addr_space / 64) * 64;
+        bool w = rng.uniform() < write_frac;
+        ctrl.access(a, w, size, [&done](Tick) { ++done; });
+    }
+    while (done < accesses && eq.step()) {
+    }
+    EXPECT_EQ(done, accesses);
+    return commandDigest(ctrl, eq.curTick());
+}
+
+/**
+ * Staggered arrivals: accesses enter from events at scattered ticks
+ * (some on the DRAM clock grid, some between, some sharing a tick),
+ * and every third completed read issues a dependent access from
+ * inside its completion event. Both kinds land while the controller
+ * already waits on a wake-up, and some land on the wake-up's tick.
+ */
+class Staggered
+{
+  public:
+    Staggered()
+        : ctrl(eq, DramTiming::ddr4_2666(), geometry(),
+               SchedPolicy::FRFCFS, MapScheme::RowBankCol, "dut")
+    {
+        ctrl.trace().setEnabled(true);
+    }
+
+    std::uint64_t
+    run()
+    {
+        const Tick tck = ctrl.timing().period();
+        Tick at = 0;
+        for (unsigned i = 0; i < arrivals; ++i) {
+            switch (rng.below(3)) {
+              case 0: at += rng.below(8) * tck; break;
+              case 1: at += rng.below(6000); break;
+              default: break; // Same tick as the previous arrival.
+            }
+            Addr a = rng.below(1u << 14) * 64;
+            bool w = rng.uniform() < 0.3;
+            ++scheduled;
+            eq.schedule(at, [this, a, w] {
+                --scheduled;
+                enqueue(a, w);
+            });
+        }
+        while ((scheduled > 0 || done < issued) && eq.step()) {
+        }
+        EXPECT_EQ(done, issued);
+        EXPECT_EQ(scheduled, 0u);
+        return commandDigest(ctrl, eq.curTick());
+    }
+
+  private:
+    static DramGeometry
+    geometry()
+    {
+        DramGeometry g;
+        g.capacityBytes = 1ull << 30;
+        return g;
+    }
+
+    void
+    enqueue(Addr a, bool w)
+    {
+        ++issued;
+        ctrl.access(a, w, 64, [this, a, w](Tick) {
+            ++done;
+            if (!w && done % 3 == 0 && issued < arrivals + 120)
+                enqueue((a + 8192 * (1 + done % 5)) % (1u << 20),
+                        done % 2 == 0);
+        });
+    }
+
+    static constexpr unsigned arrivals = 400;
+    EventQueue eq;
+    DramController ctrl;
+    Rng rng{29};
+    unsigned scheduled = 0;
+    unsigned issued = 0;
+    unsigned done = 0;
+};
+
+/** MetricsRegistry JSON of @p reg without its `*.kernel` groups. */
+std::uint64_t
+metricsDigest(const MetricsRegistry &reg)
+{
+    MetricsRegistry model;
+    for (const StatGroup *g : reg.all()) {
+        const std::string &n = g->name();
+        if (n.size() >= 7 && n.compare(n.size() - 7, 7, ".kernel") == 0)
+            continue;
+        model.add(*g);
+    }
+    Fnv1a f;
+    std::string json = model.toJson();
+    f.bytes(json.data(), json.size());
+    return f.value();
+}
+
+std::uint64_t
+worldDigest(MemorySystem &sys)
+{
+    MetricsRegistry reg;
+    sys.metricsInto(reg);
+    return metricsDigest(reg);
+}
+
+/** 1-DIMM App Direct: LENS pointer-chase loads then stores. */
+std::uint64_t
+appDirectChase(std::uint64_t region)
+{
+    setQuiet(true);
+    EventQueue eq;
+    nvram::VansSystem sys(eq, nvram::NvramConfig::optaneDefault());
+    lens::Driver drv(sys);
+    lens::PtrChaseParams pc;
+    pc.regionBytes = region;
+    pc.warmupLines = 3000;
+    pc.measureLines = 1000;
+    pc.seed = 7;
+    pc.coverageWarm = true;
+    lens::ptrChase(drv, pc);
+    pc.writeMode = true;
+    lens::ptrChase(drv, pc);
+    drv.fence();
+    drv.drain();
+    return worldDigest(sys);
+}
+
+} // namespace
+
+// ---- (a) DDR4 command streams ---------------------------------------
+
+struct GoldenSweep
+{
+    const char *name;
+    double writeFrac;
+    std::uint64_t addrSpace;
+    std::uint32_t size;
+    std::uint64_t digest;
+};
+
+TEST(GoldenDigest, CheckerSweepCommandStreams)
+{
+    // The Traffic/CheckerSweep patterns of test_dram.cc.
+    const GoldenSweep sweeps[] = {
+        {"read_seq", 0.0, 1 << 16, 64, 0x0a6fd0970835fc6eull},
+        {"read_rand", 0.0, 1u << 28, 64, 0xd937e7fb8920b816ull},
+        {"write_rand", 1.0, 1u << 28, 64, 0x77bd85bee4cce82eull},
+        {"mixed_rand", 0.5, 1u << 28, 64, 0xe194a6bbe284fd74ull},
+        {"mixed_hot", 0.5, 1 << 14, 64, 0x001fdc64b1071126ull},
+        {"bulk_256B", 0.5, 1u << 26, 256, 0x6b00a406e123fd2dull},
+        {"bulk_4K", 0.3, 1u << 26, 4096, 0x022b986ee6a8c05full},
+    };
+    for (const GoldenSweep &s : sweeps) {
+        std::uint64_t d =
+            sweepDigest(DramTiming::ddr4_2666(), SchedPolicy::FRFCFS,
+                        400, s.writeFrac, s.addrSpace, 11, s.size);
+        EXPECT_EQ(hex(d), hex(s.digest)) << s.name;
+    }
+}
+
+TEST(GoldenDigest, FcfsDdr3PcmCommandStreams)
+{
+    EXPECT_EQ(hex(sweepDigest(DramTiming::ddr4_2666(), SchedPolicy::FCFS,
+                              300, 0.5, 1u << 26, 13, 64)),
+              hex(0x1f9acc9463d99696ull));
+    EXPECT_EQ(hex(sweepDigest(DramTiming::ddr3_1600(),
+                              SchedPolicy::FRFCFS, 300, 0.5, 1u << 26, 17,
+                              64)),
+              hex(0x60ce18ddca248148ull));
+    EXPECT_EQ(hex(sweepDigest(DramTiming::pcmLike(), SchedPolicy::FRFCFS,
+                              300, 0.5, 1u << 26, 19, 64)),
+              hex(0x0d23078c4fac27b8ull));
+}
+
+TEST(GoldenDigest, StaggeredArrivalCommandStream)
+{
+    Staggered s;
+    EXPECT_EQ(hex(s.run()), hex(0x24789b00fd290df1ull));
+}
+
+// ---- (b) World metrics ----------------------------------------------
+
+TEST(GoldenDigest, AppDirectPointerChase)
+{
+    // Below the 16 KB RMW buffer, inside the 16 MB AIT buffer, and
+    // past it.
+    EXPECT_EQ(hex(appDirectChase(8 << 10)), hex(0xa1139899cfa2c310ull));
+    EXPECT_EQ(hex(appDirectChase(1 << 20)), hex(0x1c48009cda2d6d30ull));
+    EXPECT_EQ(hex(appDirectChase(32 << 20)), hex(0xf0ecc13a4412ba29ull));
+}
+
+TEST(GoldenDigest, MemoryModeWorld)
+{
+    setQuiet(true);
+    nvram::NvramConfig cfg = nvram::NvramConfig::optaneDefault();
+    cfg.mode = nvram::SystemMode::Memory;
+    cfg.dcacheCapacity = 1 << 20;
+    EventQueue eq;
+    nvram::VansSystem sys(eq, cfg);
+    lens::Driver drv(sys);
+    lens::PtrChaseParams pc;
+    pc.regionBytes = 2 << 20; // Twice the DRAM cache.
+    pc.warmupLines = 3000;
+    pc.measureLines = 1000;
+    pc.seed = 9;
+    lens::ptrChase(drv, pc);
+    pc.writeMode = true;
+    lens::ptrChase(drv, pc);
+    drv.fence();
+    drv.drain();
+    EXPECT_EQ(hex(worldDigest(sys)), hex(0xf9cf038679498d27ull));
+}
+
+TEST(GoldenDigest, SixDimmBurst)
+{
+    // The BM_Vans6Dimm burst of bench_simperf.
+    setQuiet(true);
+    nvram::NvramConfig cfg = nvram::NvramConfig::optaneDefault();
+    cfg.numDimms = 6;
+    cfg.interleaved = true;
+    EventQueue eq;
+    nvram::VansSystem sys(eq, cfg, "vans6");
+    lens::Driver drv(sys);
+    for (unsigned rep = 0; rep < 3; ++rep)
+        drv.writeBlock(static_cast<Addr>(rep) * 49152, 24576);
+    std::vector<Addr> addrs;
+    for (unsigned i = 0; i < 96; ++i)
+        addrs.push_back(static_cast<Addr>(i) * 4096);
+    drv.streamReads(addrs, 8);
+    drv.fence();
+    sys.drain();
+    EXPECT_EQ(hex(worldDigest(sys)), hex(0x69b6cc10ad033426ull));
+}
+
+TEST(GoldenDigest, Ddr4MainMemoryRandomRead)
+{
+    setQuiet(true);
+    EventQueue eq;
+    baselines::DramMainMemory mem(
+        eq, baselines::DramMainMemory::ddr4Params());
+    lens::Driver drv(mem);
+    Rng rng(31);
+    std::vector<Addr> addrs;
+    for (unsigned i = 0; i < 3000; ++i)
+        addrs.push_back(rng.below(1u << 22) * 64);
+    drv.streamReads(addrs, 10);
+    drv.drain();
+    MetricsRegistry reg;
+    reg.add(mem.controller().statsConst());
+    reg.add(mem.stats());
+    EXPECT_EQ(hex(metricsDigest(reg)), hex(0xf64300a65752f5ccull));
+}

@@ -10,6 +10,10 @@
  * InplaceFunction's inline buffer, and the event kernel reuses its
  * callback slab.
  *
+ * A second check counts live heap blocks across a whole CPU-core run
+ * and its teardown: a world whose loads wait on page walks must give
+ * back every block it took (no event closure may own itself).
+ *
  * Runs as its own executable -- not under gtest -- so nothing but the
  * simulator touches the heap inside the measured region, and it
  * unsets VANS_VERIFY/VANS_TRACE before building the world: verified
@@ -24,14 +28,19 @@
 #include <new>
 #include <vector>
 
+#include "cache/hierarchy.hh"
 #include "common/logging.hh"
+#include "cpu/core.hh"
 #include "lens/driver.hh"
 #include "nvram/vans_system.hh"
+#include "trace/trace.hh"
 
 namespace
 {
 
 std::atomic<std::uint64_t> g_newCalls{0};
+/** Heap blocks allocated and not yet freed. */
+std::atomic<std::int64_t> g_liveBlocks{0};
 
 /** Armed under VANS_ZEROALLOC_TRAP=1: abort at the first allocation
  *  inside the measured window so a debugger shows the site. */
@@ -43,10 +52,31 @@ newCalls()
     return g_newCalls.load(std::memory_order_relaxed);
 }
 
+std::int64_t
+liveBlocks()
+{
+    return g_liveBlocks.load(std::memory_order_relaxed);
+}
+
+void
+countNew()
+{
+    g_newCalls.fetch_add(1, std::memory_order_relaxed);
+    g_liveBlocks.fetch_add(1, std::memory_order_relaxed);
+}
+
+void
+countedFree(void *p)
+{
+    if (p)
+        g_liveBlocks.fetch_sub(1, std::memory_order_relaxed);
+    std::free(p);
+}
+
 void *
 countedAlloc(std::size_t size)
 {
-    g_newCalls.fetch_add(1, std::memory_order_relaxed);
+    countNew();
     if (g_trap.load(std::memory_order_relaxed)) {
         g_trap.store(false, std::memory_order_relaxed);
         void *frames[32];
@@ -63,7 +93,7 @@ countedAlloc(std::size_t size)
 void *
 countedAllocAligned(std::size_t size, std::align_val_t align)
 {
-    g_newCalls.fetch_add(1, std::memory_order_relaxed);
+    countNew();
     if (void *p = std::aligned_alloc(static_cast<std::size_t>(align),
                                      size ? size : 1))
         return p;
@@ -85,13 +115,13 @@ operator new[](std::size_t size)
 void *
 operator new(std::size_t size, const std::nothrow_t &) noexcept
 {
-    g_newCalls.fetch_add(1, std::memory_order_relaxed);
+    countNew();
     return std::malloc(size ? size : 1);
 }
 void *
 operator new[](std::size_t size, const std::nothrow_t &) noexcept
 {
-    g_newCalls.fetch_add(1, std::memory_order_relaxed);
+    countNew();
     return std::malloc(size ? size : 1);
 }
 void *
@@ -108,52 +138,52 @@ operator new[](std::size_t size, std::align_val_t align)
 void
 operator delete(void *p) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete[](void *p) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete(void *p, std::size_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete[](void *p, std::size_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete(void *p, const std::nothrow_t &) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete[](void *p, const std::nothrow_t &) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete(void *p, std::align_val_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete[](void *p, std::align_val_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete(void *p, std::size_t, std::align_val_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete[](void *p, std::size_t, std::align_val_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 namespace
@@ -230,10 +260,58 @@ runTest()
     return 0;
 }
 
+/**
+ * One CPU-core run on a world built and torn down inside the call.
+ * Every load goes to a new page 1 MB from the last, so its TLB walk
+ * reads a page-table line that misses the LLC and the load waits on
+ * that read.
+ */
+void
+gatedLoadRun()
+{
+    EventQueue eq;
+    nvram::VansSystem sys(eq, nvram::NvramConfig::optaneDefault());
+    cache::Hierarchy caches;
+    cpu::CpuCore core(sys, caches);
+    constexpr unsigned loads = 64;
+    std::vector<trace::TraceInst> insts;
+    for (unsigned i = 0; i < loads; ++i) {
+        trace::TraceInst ld;
+        ld.type = trace::InstType::Load;
+        ld.addr = static_cast<Addr>(i) << 20;
+        insts.push_back(ld);
+    }
+    trace::VectorTraceSource src(std::move(insts));
+    core.run(src, loads);
+    sys.drain();
+}
+
+int
+runTeardownTest()
+{
+    gatedLoadRun(); // Absorbs lazily built process-wide state.
+    std::int64_t before = liveBlocks();
+    gatedLoadRun();
+    std::int64_t leaked = liveBlocks() - before;
+    if (leaked != 0) {
+        std::fprintf(stderr,
+                     "FAIL: %lld heap block(s) still live after a "
+                     "page-walk-gated core run and its teardown "
+                     "(expected 0)\n",
+                     static_cast<long long>(leaked));
+        return 1;
+    }
+    std::printf("PASS: page-walk-gated core run frees every heap "
+                "block at teardown\n");
+    return 0;
+}
+
 } // namespace
 
 int
 main()
 {
-    return runTest();
+    int failed = runTest();
+    failed |= runTeardownTest();
+    return failed;
 }
