@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "baselines/dram_system.hh"
+#include "cache/hierarchy.hh"
 #include "common/event_queue.hh"
 #include "common/logging.hh"
 #include "common/request_pool.hh"
@@ -213,6 +214,47 @@ BM_DramRandomRead(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DramRandomRead);
+
+// ---- Table V cache hierarchy ----------------------------------------
+//
+// Every CpuCore run builds a Hierarchy (32 KB L1, 1 MB L2, 32 MB LLC,
+// 64/1536-entry TLBs) and frees it, so a short run pays for building
+// and freeing it as well as for its accesses; the pair prices both.
+// Addresses are random lines over 256 MB (8x the LLC, 64K pages):
+// mostly LLC misses and TLB walks, with some LLC and STLB hits.
+
+void
+BM_HierarchyConstruct(benchmark::State &state)
+{
+    setQuiet(true);
+    Rng rng(17);
+    std::vector<Addr> addrs(1000);
+    for (Addr &a : addrs)
+        a = rng.below(1u << 22) * cacheLineSize;
+    for (auto _ : state) {
+        cache::Hierarchy h;
+        for (Addr a : addrs)
+            benchmark::DoNotOptimize(h.access(a, false));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HierarchyConstruct);
+
+void
+BM_HierarchyAccess(benchmark::State &state)
+{
+    setQuiet(true);
+    cache::Hierarchy h;
+    Rng rng(19);
+    for (int i = 0; i < 1000000; ++i)
+        h.access(rng.below(1u << 22) * cacheLineSize, i % 4 == 0);
+    for (auto _ : state) {
+        Addr a = rng.below(1u << 22) * cacheLineSize;
+        benchmark::DoNotOptimize(h.access(a, (a & 0xc0) == 0));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HierarchyAccess);
 
 // ---- Interleaved 6-DIMM socket -------------------------------------
 //

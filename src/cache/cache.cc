@@ -1,130 +1,103 @@
 #include "cache/cache.hh"
 
-#include <iterator>
-
 #include "common/logging.hh"
 
 namespace vans::cache
 {
 
+namespace
+{
+
+/** Sets of the level @p params describes; fatal on a geometry it
+ *  cannot hold. */
+unsigned
+setCount(const CacheParams &params)
+{
+    const char *name = params.name.c_str();
+    if (params.lineBytes == 0)
+        fatal("cache %s: lineBytes must be positive", name);
+    if (params.ways == 0 || params.ways > SetAssocArray::maxWays)
+        fatal("cache %s: %u ways; a set holds 1 to %u", name,
+              params.ways, SetAssocArray::maxWays);
+    std::uint64_t lines = params.sizeBytes / params.lineBytes;
+    if (lines % params.ways != 0)
+        fatal("cache %s: size/ways mismatch", name);
+    std::uint64_t sets = lines / params.ways;
+    if (!isPowerOf2(sets))
+        fatal("cache %s: set count must be a power of two", name);
+    return static_cast<unsigned>(sets);
+}
+
+} // namespace
+
 Cache::Cache(const CacheParams &params)
-    : p(params), statGroup(params.name)
-{
-    std::uint64_t lines = p.sizeBytes / p.lineBytes;
-    if (lines % p.ways != 0)
-        fatal("cache %s: size/ways mismatch", p.name.c_str());
-    numSets = static_cast<unsigned>(lines / p.ways);
-    if (!isPowerOf2(numSets))
-        fatal("cache %s: set count must be a power of two",
-              p.name.c_str());
-    sets.resize(numSets);
-    for (auto &s : sets) {
-        s.lines.resize(p.ways);
-        for (unsigned w = 0; w < p.ways; ++w)
-            s.lruOrder.push_back(w);
-    }
-}
-
-std::uint64_t
-Cache::setIndex(Addr addr) const
-{
-    return (addr / p.lineBytes) & (numSets - 1);
-}
-
-Addr
-Cache::tagOf(Addr addr) const
-{
-    return (addr / p.lineBytes) >> log2i(numSets);
-}
+    : p(params),
+      numSets(setCount(params)),
+      setShift(log2i(numSets)),
+      lines(numSets, params.ways),
+      statGroup(params.name)
+{}
 
 CacheAccessResult
 Cache::access(Addr addr, bool write)
 {
     CacheAccessResult res;
-    Set &set = sets[setIndex(addr)];
-    Addr tag = tagOf(addr);
+    Addr line = addr / p.lineBytes;
+    std::uint64_t set = line & (numSets - 1);
+    Addr tag = line >> setShift;
 
-    for (auto it = set.lruOrder.begin(); it != set.lruOrder.end();
-         ++it) {
-        Line &l = set.lines[*it];
-        if (l.valid && l.tag == tag) {
-            res.hit = true;
-            l.dirty = l.dirty || write;
-            set.lruOrder.splice(set.lruOrder.begin(), set.lruOrder,
-                                it);
-            statGroup.scalar("hits").inc();
-            return res;
-        }
+    if (Way *w = lines.find(set, tag)) {
+        res.hit = true;
+        w->dirty = w->dirty || write;
+        lines.touch(set, *w);
+        lazyScalar(statGroup, sHits, "hits").inc();
+        return res;
     }
 
-    statGroup.scalar("misses").inc();
+    lazyScalar(statGroup, sMisses, "misses").inc();
     // Fill into an invalid way when one exists (a clflushopt'd line
     // leaves a free slot behind); only a full set evicts the LRU way.
-    auto victim_it = std::prev(set.lruOrder.end());
-    for (auto it = set.lruOrder.begin(); it != set.lruOrder.end();
-         ++it) {
-        if (!set.lines[*it].valid) {
-            victim_it = it;
-            break;
-        }
-    }
-    unsigned victim = *victim_it;
-    set.lruOrder.erase(victim_it);
-    Line &l = set.lines[victim];
-    if (l.valid && l.dirty) {
+    Way &victim = lines.victim(set);
+    if (victim.rank != 0 && victim.dirty) {
         res.writeback = true;
-        // Reconstruct the victim address.
-        res.writebackAddr =
-            ((l.tag << log2i(numSets)) | setIndex(addr)) * p.lineBytes;
-        statGroup.scalar("writebacks").inc();
+        res.writebackAddr = ((victim.key << setShift) | set) * p.lineBytes;
+        lazyScalar(statGroup, sWritebacks, "writebacks").inc();
     }
-    l.valid = true;
-    l.dirty = write;
-    l.tag = tag;
-    set.lruOrder.push_front(victim);
+    victim.key = tag;
+    victim.dirty = write;
+    lines.touch(set, victim);
     return res;
 }
 
 bool
 Cache::contains(Addr addr) const
 {
-    const Set &set = sets[setIndex(addr)];
-    Addr tag = tagOf(addr);
-    for (const Line &l : set.lines) {
-        if (l.valid && l.tag == tag)
-            return true;
-    }
-    return false;
+    Addr line = addr / p.lineBytes;
+    return lines.find(line & (numSets - 1), line >> setShift) != nullptr;
 }
 
 bool
 Cache::invalidate(Addr addr)
 {
-    Set &set = sets[setIndex(addr)];
-    Addr tag = tagOf(addr);
-    for (Line &l : set.lines) {
-        if (l.valid && l.tag == tag) {
-            bool was_dirty = l.dirty;
-            l.valid = false;
-            l.dirty = false;
-            return was_dirty;
-        }
-    }
-    return false;
+    Addr line = addr / p.lineBytes;
+    std::uint64_t set = line & (numSets - 1);
+    Way *w = lines.find(set, line >> setShift);
+    if (!w)
+        return false;
+    bool was_dirty = w->dirty;
+    lines.clear(set, *w);
+    return was_dirty;
 }
 
 bool
 Cache::clean(Addr addr)
 {
-    Set &set = sets[setIndex(addr)];
-    Addr tag = tagOf(addr);
-    for (Line &l : set.lines) {
-        if (l.valid && l.tag == tag && l.dirty) {
-            l.dirty = false;
-            return true;
-        }
-    }
-    return false;
+    Addr line = addr / p.lineBytes;
+    Way *w = lines.find(line & (numSets - 1), line >> setShift);
+    if (!w || !w->dirty)
+        return false;
+    w->dirty = false;
+    return true;
 }
 
 double

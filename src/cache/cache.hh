@@ -1,7 +1,7 @@
 /**
  * @file
  * Set-associative cache model (functional hits/misses + LRU + dirty
- * eviction tracking).
+ * eviction tracking) over one flat SetAssocArray per level.
  *
  * The caches are functional: they answer hit/miss and produce victim
  * writebacks; the CPU core charges the per-level latencies and
@@ -16,11 +16,9 @@
 #define VANS_CACHE_CACHE_HH
 
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
+#include "cache/set_assoc.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -46,6 +44,7 @@ struct CacheAccessResult
 };
 
 /** One set-associative write-back cache level. */
+// simlint-hot
 class Cache
 {
   public:
@@ -74,26 +73,14 @@ class Cache
     double missRate() const;
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-    };
-
-    struct Set
-    {
-        std::vector<Line> lines;
-        std::list<unsigned> lruOrder; ///< Front = most recent way.
-    };
-
-    std::uint64_t setIndex(Addr addr) const;
-    Addr tagOf(Addr addr) const;
-
     CacheParams p;
     unsigned numSets;
-    std::vector<Set> sets;
+    unsigned setShift; ///< log2(numSets): line number -> tag.
+    SetAssocArray lines;
     StatGroup statGroup;
+    StatScalar *sHits = nullptr;
+    StatScalar *sMisses = nullptr;
+    StatScalar *sWritebacks = nullptr;
 };
 
 } // namespace vans::cache

@@ -1,0 +1,156 @@
+/**
+ * @file
+ * Flat set-associative array with LRU recency kept in the ways
+ * themselves, shared by the cache levels and the TLB levels.
+ *
+ * A level is one set-major array of Way entries. Each way carries a
+ * recency rank: 0 marks an empty way, and the n valid ways of a set
+ * hold the ranks 1..n, 1 being the most recently used and n the
+ * least. All-zero memory is therefore an empty level, so the array
+ * comes from calloc: construction is one zeroed allocation (a fresh
+ * mapping leaves untouched sets unfaulted) and destruction is one
+ * free.
+ *
+ * The ranks order exactly what a per-set list of ways, front = most
+ * recent, would order: a touch moves a way to rank 1 and ages the
+ * ways that were more recent; a fill takes an empty way when the set
+ * has one and otherwise the way ranked n; a freed way leaves the
+ * order and the less recent ways close the gap. Ranks are one byte,
+ * which bounds a set at maxWays ways.
+ *
+ * Not built from FlatLru: each of those owns four vectors (keys,
+ * recency links, an open-addressed hash), sized for one large LRU. A
+ * level here is thousands of sets of a few ways each, so one FlatLru
+ * per set would cost four allocations per set, and a linear scan of
+ * one contiguous set is already the lookup.
+ */
+
+#ifndef VANS_CACHE_SET_ASSOC_HH
+#define VANS_CACHE_SET_ASSOC_HH
+
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+
+#include "common/logging.hh"
+#include "common/stats.hh"
+#include "common/types.hh"
+
+namespace vans::cache
+{
+
+/** One way of a set. All-zero is an empty way. */
+struct Way
+{
+    Addr key;          ///< Tag (caches) or page number (TLBs).
+    std::uint8_t rank; ///< 0 = empty, else 1 (most recent) .. n.
+    bool dirty;        ///< Cache lines only.
+};
+
+/** Sets x ways of Way entries, set-major, ranked per set. */
+// simlint-hot
+class SetAssocArray
+{
+  public:
+    /** The most ways one set can rank. */
+    static constexpr unsigned maxWays = 255;
+
+    /** @p sets x @p ways empty ways; @p ways is 1..maxWays. */
+    SetAssocArray(std::uint64_t sets, unsigned ways)
+        : numWays(ways),
+          slots(static_cast<Way *>(std::calloc(sets * ways, sizeof(Way))))
+    {
+        if (!slots)
+            fatal("cannot allocate %llu x %u cache ways",
+                  static_cast<unsigned long long>(sets), ways);
+    }
+
+    /** The valid way of set @p set that holds @p key, or nullptr. */
+    Way *find(std::uint64_t set, Addr key) { return scan(first(set), key); }
+    const Way *
+    find(std::uint64_t set, Addr key) const
+    {
+        return scan(static_cast<const Way *>(first(set)), key);
+    }
+
+    /** The way a fill of @p set takes: an empty one if the set has
+     *  one, else its least recent. */
+    Way &
+    victim(std::uint64_t set)
+    {
+        Way *s = first(set);
+        Way *lru = s;
+        for (Way *w = s; w != s + numWays; ++w) {
+            if (w->rank == 0)
+                return *w;
+            if (w->rank == numWays)
+                lru = w;
+        }
+        return *lru;
+    }
+
+    /** Make @p w, a way of @p set, the most recent. An empty @p w
+     *  joins the order, so every valid way ages. */
+    void
+    touch(std::uint64_t set, Way &w)
+    {
+        unsigned from = w.rank != 0 ? w.rank : numWays + 1;
+        Way *s = first(set);
+        for (Way *x = s; x != s + numWays; ++x) {
+            if (x->rank != 0 && x->rank < from)
+                ++x->rank;
+        }
+        w.rank = 1;
+    }
+
+    /** Empty @p w, a valid way of @p set. */
+    void
+    clear(std::uint64_t set, Way &w)
+    {
+        Way *s = first(set);
+        for (Way *x = s; x != s + numWays; ++x) {
+            if (x->rank > w.rank)
+                --x->rank;
+        }
+        w = Way{};
+    }
+
+  private:
+    struct Free
+    {
+        void operator()(Way *w) const { std::free(w); }
+    };
+
+    Way *first(std::uint64_t set) const { return slots.get() + set * numWays; }
+
+    template <typename W>
+    W *
+    scan(W *s, Addr key) const
+    {
+        for (W *w = s; w != s + numWays; ++w) {
+            if (w->rank != 0 && w->key == key)
+                return w;
+        }
+        return nullptr;
+    }
+
+    unsigned numWays;
+    std::unique_ptr<Way, Free> slots;
+};
+
+/**
+ * @p slot, resolved to the scalar @p name of @p group on first use:
+ * the string lookup runs once, and a key still appears in the group
+ * only once it has counted something.
+ */
+inline StatScalar &
+lazyScalar(StatGroup &group, StatScalar *&slot, const char *name)
+{
+    if (!slot)
+        slot = &group.scalar(name);
+    return *slot;
+}
+
+} // namespace vans::cache
+
+#endif // VANS_CACHE_SET_ASSOC_HH

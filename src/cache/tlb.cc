@@ -5,49 +5,62 @@
 namespace vans::cache
 {
 
-bool
-Tlb::Level::lookup(std::uint64_t page, bool bump)
+namespace
 {
-    auto &set = data[page & (sets - 1)];
-    for (auto it = set.begin(); it != set.end(); ++it) {
-        if (*it == page) {
-            if (bump)
-                set.splice(set.begin(), set, it);
-            return true;
-        }
-    }
-    return false;
+
+/** Sets of one TLB level; fatal on a geometry it cannot hold. */
+std::uint64_t
+setCount(const std::string &tlb, const char *which, unsigned entries,
+         unsigned ways)
+{
+    if (ways == 0 || ways > SetAssocArray::maxWays)
+        fatal("%s %s: %u ways; a set holds 1 to %u", tlb.c_str(), which,
+              ways, SetAssocArray::maxWays);
+    std::uint64_t sets = entries / ways;
+    if (!isPowerOf2(sets))
+        fatal("%s %s: set count must be a power of two", tlb.c_str(),
+              which);
+    return sets;
+}
+
+} // namespace
+
+Tlb::Level::Level(const std::string &tlb, const char *which,
+                  unsigned entries, unsigned ways)
+    : setMask(setCount(tlb, which, entries, ways) - 1),
+      pages(setMask + 1, ways)
+{}
+
+bool
+Tlb::Level::lookup(std::uint64_t page)
+{
+    std::uint64_t set = page & setMask;
+    Way *w = pages.find(set, page);
+    if (w)
+        pages.touch(set, *w);
+    return w != nullptr;
 }
 
 void
 Tlb::Level::insert(std::uint64_t page)
 {
-    auto &set = data[page & (sets - 1)];
-    for (auto it = set.begin(); it != set.end(); ++it) {
-        if (*it == page) {
-            set.splice(set.begin(), set, it);
-            return;
-        }
+    std::uint64_t set = page & setMask;
+    Way *w = pages.find(set, page);
+    if (!w) {
+        w = &pages.victim(set);
+        w->key = page;
     }
-    set.push_front(page);
-    while (set.size() > ways)
-        set.pop_back();
+    pages.touch(set, *w);
 }
 
 Tlb::Tlb(const TlbParams &params)
-    : p(params), statGroup(params.name)
+    : p(params),
+      l1(params.name, "L1", params.l1Entries, params.l1Ways),
+      stlb(params.name, "STLB", params.stlbEntries, params.stlbWays),
+      statGroup(params.name)
 {
-    l1.ways = p.l1Ways;
-    l1.sets = p.l1Entries / p.l1Ways;
-    if (!isPowerOf2(l1.sets))
-        fatal("TLB L1 set count must be a power of two");
-    l1.data.resize(l1.sets);
-
-    stlb.ways = p.stlbWays;
-    stlb.sets = p.stlbEntries / p.stlbWays;
-    if (!isPowerOf2(stlb.sets))
-        fatal("STLB set count must be a power of two");
-    stlb.data.resize(stlb.sets);
+    if (p.pageBytes == 0)
+        fatal("%s: pageBytes must be positive", p.name.c_str());
 }
 
 TlbResult
@@ -55,18 +68,18 @@ Tlb::access(Addr addr)
 {
     std::uint64_t page = pageOf(addr);
     TlbResult r;
-    statGroup.scalar("accesses").inc();
-    if (l1.lookup(page, true)) {
+    lazyScalar(statGroup, sAccesses, "accesses").inc();
+    if (l1.lookup(page)) {
         r.l1Hit = true;
         return r;
     }
-    statGroup.scalar("l1_misses").inc();
-    if (stlb.lookup(page, true)) {
+    lazyScalar(statGroup, sL1Misses, "l1_misses").inc();
+    if (stlb.lookup(page)) {
         r.stlbHit = true;
         l1.insert(page);
         return r;
     }
-    statGroup.scalar("walks").inc();
+    lazyScalar(statGroup, sWalks, "walks").inc();
     r.walk = true;
     stlb.insert(page);
     l1.insert(page);
@@ -77,11 +90,11 @@ bool
 Tlb::install(Addr addr)
 {
     std::uint64_t page = pageOf(addr);
-    bool fresh = !l1.lookup(page, false) && !stlb.lookup(page, false);
+    bool fresh = !l1.contains(page) && !stlb.contains(page);
     stlb.insert(page);
     l1.insert(page);
     if (fresh)
-        statGroup.scalar("pretranslation_installs").inc();
+        lazyScalar(statGroup, sInstalls, "pretranslation_installs").inc();
     return fresh;
 }
 
@@ -89,8 +102,7 @@ bool
 Tlb::contains(Addr addr) const
 {
     std::uint64_t page = pageOf(addr);
-    auto &self = const_cast<Tlb &>(*this);
-    return self.l1.lookup(page, false) || self.stlb.lookup(page, false);
+    return l1.contains(page) || stlb.contains(page);
 }
 
 double

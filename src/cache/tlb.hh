@@ -6,17 +6,16 @@
  *
  * The model is functional (hit/miss + LRU) with latencies charged by
  * the CPU core; it produces the TLB MPKI curves of Figs 5d, 7d and
- * 13e.
+ * 13e. Each level is one flat SetAssocArray keyed by page number.
  */
 
 #ifndef VANS_CACHE_TLB_HH
 #define VANS_CACHE_TLB_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
-#include <vector>
+#include <string>
 
+#include "cache/set_assoc.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -43,6 +42,7 @@ struct TlbResult
 };
 
 /** L1 + STLB with LRU replacement per set. */
+// simlint-hot
 class Tlb
 {
   public:
@@ -67,14 +67,26 @@ class Tlb
     StatGroup &stats() { return statGroup; }
 
   private:
+    /** One level: sets of pages, indexed by the page's low bits. */
     struct Level
     {
-        unsigned sets;
-        unsigned ways;
-        // set -> LRU list of page numbers (front = most recent).
-        std::vector<std::list<std::uint64_t>> data;
+        /** Fatal, naming @p tlb and @p which level, unless @p ways
+         *  is 1..maxWays and @p entries / @p ways a power of two. */
+        Level(const std::string &tlb, const char *which,
+              unsigned entries, unsigned ways);
 
-        bool lookup(std::uint64_t page, bool bump);
+        std::uint64_t setMask;
+        SetAssocArray pages;
+
+        bool
+        contains(std::uint64_t page) const
+        {
+            return pages.find(page & setMask, page) != nullptr;
+        }
+
+        /** True if present; a hit becomes the set's most recent. */
+        bool lookup(std::uint64_t page);
+        /** Make @p page the most recent, evicting the LRU if new. */
         void insert(std::uint64_t page);
     };
 
@@ -87,6 +99,10 @@ class Tlb
     Level l1;
     Level stlb;
     StatGroup statGroup;
+    StatScalar *sAccesses = nullptr;
+    StatScalar *sL1Misses = nullptr;
+    StatScalar *sWalks = nullptr;
+    StatScalar *sInstalls = nullptr;
 };
 
 } // namespace vans::cache

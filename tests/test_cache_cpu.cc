@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <list>
+#include <vector>
+
 #include "baselines/dram_system.hh"
 #include "cache/hierarchy.hh"
 #include "common/rng.hh"
@@ -170,6 +174,369 @@ TEST(Tlb, WalkRateOverRandomPages)
     for (int i = 0; i < 20000; ++i)
         t.access(rng.below(100000) * 4096);
     EXPECT_GT(t.walkRate(), 0.5);
+}
+
+// ---- Replacement rule against a std::list reference ------------------
+
+namespace
+{
+
+/**
+ * The replacement rule as a std::list of way indices per set, front =
+ * most recent: a hit moves its way to the front; a miss fills the
+ * invalid way nearest the front, else evicts the back. The oracle the
+ * flat Cache is compared against.
+ */
+class ListCache
+{
+  public:
+    ListCache(unsigned sets, unsigned ways, std::uint32_t line_bytes)
+        : numSets(sets), lineBytes(line_bytes),
+          lines(sets, std::vector<Line>(ways)), order(sets)
+    {
+        for (auto &o : order)
+            for (unsigned w = 0; w < ways; ++w)
+                o.push_back(w);
+    }
+
+    CacheAccessResult
+    access(Addr addr, bool write)
+    {
+        auto [set, tag] = locate(addr);
+        std::list<unsigned> &o = order[set];
+        CacheAccessResult r;
+        auto victim = std::prev(o.end());
+        for (auto it = o.begin(); it != o.end(); ++it) {
+            Line &l = lines[set][*it];
+            if (l.valid && l.tag == tag) {
+                l.dirty = l.dirty || write;
+                o.splice(o.begin(), o, it);
+                r.hit = true;
+                return r;
+            }
+        }
+        for (auto it = o.begin(); it != o.end(); ++it) {
+            if (!lines[set][*it].valid) {
+                victim = it;
+                break;
+            }
+        }
+        Line &l = lines[set][*victim];
+        if (l.valid && l.dirty) {
+            r.writeback = true;
+            r.writebackAddr = (l.tag * numSets + set) * lineBytes;
+        }
+        l = Line{tag, true, write};
+        o.splice(o.begin(), o, victim);
+        return r;
+    }
+
+    bool contains(Addr addr) { return find(addr) != nullptr; }
+
+    bool
+    invalidate(Addr addr)
+    {
+        Line *l = find(addr);
+        bool dirty = l && l->dirty;
+        if (l)
+            *l = Line{};
+        return dirty;
+    }
+
+    bool
+    clean(Addr addr)
+    {
+        Line *l = find(addr);
+        bool dirty = l && l->dirty;
+        if (l)
+            l->dirty = false;
+        return dirty;
+    }
+
+    /** Invalid ways of the set of @p addr while it holds a valid one. */
+    unsigned
+    freeBesideLive(Addr addr) const
+    {
+        unsigned free = 0, live = 0;
+        for (const Line &l : lines[locate(addr).first])
+            (l.valid ? live : free) += 1;
+        return live ? free : 0;
+    }
+
+  private:
+    struct Line
+    {
+        Addr tag = 0;
+        bool valid = false;
+        bool dirty = false;
+    };
+
+    std::pair<std::uint64_t, Addr>
+    locate(Addr addr) const
+    {
+        Addr line = addr / lineBytes;
+        return {line % numSets, line / numSets};
+    }
+
+    Line *
+    find(Addr addr)
+    {
+        auto [set, tag] = locate(addr);
+        for (Line &l : lines[set])
+            if (l.valid && l.tag == tag)
+                return &l;
+        return nullptr;
+    }
+
+    std::uint64_t numSets;
+    std::uint32_t lineBytes;
+    std::vector<std::vector<Line>> lines;
+    std::vector<std::list<unsigned>> order;
+};
+
+/** The TLB rule as a std::list of pages per set, front = most recent;
+ *  an insert past the set's ways drops the back. */
+class ListTlb
+{
+  public:
+    explicit ListTlb(const TlbParams &tp)
+        : p(tp),
+          l1{tp.l1Entries / tp.l1Ways, tp.l1Ways, {}},
+          stlb{tp.stlbEntries / tp.stlbWays, tp.stlbWays, {}}
+    {
+        l1.data.resize(l1.sets);
+        stlb.data.resize(stlb.sets);
+    }
+
+    TlbResult
+    access(Addr addr)
+    {
+        std::uint64_t page = addr / p.pageBytes;
+        TlbResult r;
+        if (l1.lookup(page, true)) {
+            r.l1Hit = true;
+        } else if (stlb.lookup(page, true)) {
+            r.stlbHit = true;
+            l1.insert(page);
+        } else {
+            r.walk = true;
+            stlb.insert(page);
+            l1.insert(page);
+        }
+        return r;
+    }
+
+    bool
+    install(Addr addr)
+    {
+        std::uint64_t page = addr / p.pageBytes;
+        bool fresh = !l1.lookup(page, false) && !stlb.lookup(page, false);
+        stlb.insert(page);
+        l1.insert(page);
+        return fresh;
+    }
+
+    bool
+    contains(Addr addr)
+    {
+        std::uint64_t page = addr / p.pageBytes;
+        return l1.lookup(page, false) || stlb.lookup(page, false);
+    }
+
+  private:
+    struct Level
+    {
+        unsigned sets;
+        unsigned ways;
+        std::vector<std::list<std::uint64_t>> data;
+
+        bool
+        lookup(std::uint64_t page, bool bump)
+        {
+            auto &set = data[page % sets];
+            for (auto it = set.begin(); it != set.end(); ++it) {
+                if (*it == page) {
+                    if (bump)
+                        set.splice(set.begin(), set, it);
+                    return true;
+                }
+            }
+            return false;
+        }
+
+        void
+        insert(std::uint64_t page)
+        {
+            if (lookup(page, true))
+                return;
+            auto &set = data[page % sets];
+            set.push_front(page);
+            if (set.size() > ways)
+                set.pop_back();
+        }
+    };
+
+    TlbParams p;
+    Level l1;
+    Level stlb;
+};
+
+struct CacheShape
+{
+    unsigned sets;
+    unsigned ways;
+};
+
+} // namespace
+
+TEST(CacheDifferential, MatchesListReferenceOnRandomStreams)
+{
+    constexpr std::uint32_t line = 64;
+    for (CacheShape g : {CacheShape{1, 16}, CacheShape{4, 2},
+                         CacheShape{64, 8}}) {
+        SCOPED_TRACE(testing::Message() << g.sets << "x" << g.ways);
+        Cache dut(CacheParams{"dut", std::uint64_t{g.sets} * g.ways * line,
+                              g.ways, line, 1.0});
+        ListCache ref(g.sets, g.ways, line);
+        Rng rng(g.sets * 131 + g.ways);
+        // Three lines per way keep every set busy with hits,
+        // evictions and refills; a few high address bits exercise
+        // the tag arithmetic.
+        std::uint64_t pool = std::uint64_t{g.sets} * g.ways * 3;
+        auto pick = [&] {
+            return (rng.below(pool) + (rng.below(4) << 34)) * line +
+                   rng.below(line);
+        };
+        unsigned most_free = 0;
+        for (int op = 0; op < 40000; ++op) {
+            Addr a = pick();
+            unsigned kind = static_cast<unsigned>(rng.below(20));
+            if (kind < 11) {
+                bool w = rng.below(3) == 0;
+                CacheAccessResult x = dut.access(a, w);
+                CacheAccessResult y = ref.access(a, w);
+                ASSERT_EQ(x.hit, y.hit) << "op " << op;
+                ASSERT_EQ(x.writeback, y.writeback) << "op " << op;
+                ASSERT_EQ(x.writebackAddr, y.writebackAddr)
+                    << "op " << op;
+            } else if (kind < 13) {
+                ASSERT_EQ(dut.clean(a), ref.clean(a)) << "op " << op;
+            } else if (kind < 16) {
+                ASSERT_EQ(dut.contains(a), ref.contains(a))
+                    << "op " << op;
+            } else if (kind < 19) {
+                ASSERT_EQ(dut.invalidate(a), ref.invalidate(a))
+                    << "op " << op;
+            } else {
+                // clflushopt about half the lines one set can hold:
+                // the set is left with several freed ways beside
+                // live ones, and the next fills must use them.
+                std::uint64_t set = rng.below(g.sets);
+                for (std::uint64_t k = set; k < pool; k += g.sets) {
+                    for (Addr hi = 0; hi < 4; ++hi) {
+                        Addr v = (k + (hi << 34)) * line;
+                        if (rng.below(2)) {
+                            ASSERT_EQ(dut.invalidate(v),
+                                      ref.invalidate(v))
+                                << "op " << op;
+                        }
+                    }
+                }
+                most_free = std::max(most_free,
+                                     ref.freeBesideLive(set * line));
+            }
+        }
+        EXPECT_GE(most_free, std::min(3u, g.ways - 1))
+            << "no set held several freed ways beside a live one";
+        for (std::uint64_t k = 0; k < pool; ++k)
+            ASSERT_EQ(dut.contains(k * line), ref.contains(k * line));
+    }
+}
+
+TEST(TlbDifferential, MatchesListReferenceOnRandomStreams)
+{
+    TlbParams small;
+    small.l1Entries = 8;
+    small.l1Ways = 4;
+    small.stlbEntries = 48;
+    small.stlbWays = 12;
+    for (const TlbParams &tp : {TlbParams{}, small}) {
+        SCOPED_TRACE(testing::Message() << tp.stlbEntries << "-entry STLB");
+        Tlb dut(tp);
+        ListTlb ref(tp);
+        Rng rng(tp.stlbEntries);
+        // Twice the STLB's reach: hits in both levels, STLB refills
+        // of L1 misses, walks that evict.
+        std::uint64_t pages = 2ull * tp.stlbEntries;
+        for (int op = 0; op < 60000; ++op) {
+            Addr a = (rng.below(pages) + (rng.below(4) << 30)) *
+                         tp.pageBytes +
+                     rng.below(tp.pageBytes);
+            unsigned kind = static_cast<unsigned>(rng.below(10));
+            if (kind < 7) {
+                TlbResult x = dut.access(a);
+                TlbResult y = ref.access(a);
+                ASSERT_EQ(x.l1Hit, y.l1Hit) << "op " << op;
+                ASSERT_EQ(x.stlbHit, y.stlbHit) << "op " << op;
+                ASSERT_EQ(x.walk, y.walk) << "op " << op;
+            } else if (kind < 8) {
+                ASSERT_EQ(dut.install(a), ref.install(a)) << "op " << op;
+            } else {
+                ASSERT_EQ(dut.contains(a), ref.contains(a)) << "op " << op;
+            }
+        }
+    }
+}
+
+// ---- Geometry guards ------------------------------------------------------
+
+TEST(CacheConfigDeathTest, RejectsZeroWays)
+{
+    EXPECT_DEATH(Cache(CacheParams{"l2", 1 << 20, 0, 64, 5.0}),
+                 "cache l2: 0 ways");
+}
+
+TEST(CacheConfigDeathTest, RejectsZeroLineBytes)
+{
+    EXPECT_DEATH(Cache(CacheParams{"l2", 1 << 20, 16, 0, 5.0}),
+                 "cache l2: lineBytes");
+}
+
+TEST(CacheConfigDeathTest, RejectsMoreWaysThanRecencyHolds)
+{
+    // 300 ways x 64 B = 19200 B: one set, so only the way count is
+    // wrong.
+    EXPECT_DEATH(Cache(CacheParams{"llc", 300 * 64, 300, 64, 16.0}),
+                 "cache llc: 300 ways");
+}
+
+TEST(TlbConfigDeathTest, RejectsZeroL1Ways)
+{
+    TlbParams p;
+    p.l1Ways = 0;
+    EXPECT_DEATH(Tlb{p}, "tlb L1: 0 ways");
+}
+
+TEST(TlbConfigDeathTest, RejectsZeroStlbWays)
+{
+    TlbParams p;
+    p.stlbWays = 0;
+    EXPECT_DEATH(Tlb{p}, "tlb STLB: 0 ways");
+}
+
+TEST(TlbConfigDeathTest, RejectsZeroPageBytes)
+{
+    TlbParams p;
+    p.pageBytes = 0;
+    EXPECT_DEATH(Tlb{p}, "tlb: pageBytes");
+}
+
+TEST(TlbConfigDeathTest, RejectsMoreWaysThanRecencyHolds)
+{
+    TlbParams p;
+    p.stlbEntries = 512;
+    p.stlbWays = 512;
+    EXPECT_DEATH(Tlb{p}, "tlb STLB: 512 ways");
 }
 
 // ---- Hierarchy ---------------------------------------------------------

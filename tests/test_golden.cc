@@ -10,7 +10,9 @@
  *    accesses land while the controller waits on a wake-up;
  *  - the MetricsRegistry JSON of a few small worlds, minus the
  *    event-kernel groups (those count the simulator's own events,
- *    not the model's behaviour).
+ *    not the model's behaviour);
+ *  - two short CpuCore runs over the Table V cache hierarchy: their
+ *    CoreStats plus the world's and the caches' metrics.
  *
  * A deliberate model change re-records the constants and says why.
  * The hash is 64-bit FNV-1a.
@@ -20,17 +22,25 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
+#include <initializer_list>
 #include <string>
+#include <vector>
 
 #include "baselines/dram_system.hh"
+#include "cache/hierarchy.hh"
 #include "common/event_queue.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/rng.hh"
+#include "cpu/core.hh"
 #include "dram/controller.hh"
 #include "lens/driver.hh"
 #include "lens/microbench.hh"
 #include "nvram/vans_system.hh"
+#include "trace/trace.hh"
+#include "workloads/cloud.hh"
+#include "workloads/spec_synth.hh"
 
 using namespace vans;
 using namespace vans::dram;
@@ -59,6 +69,16 @@ class Fnv1a
             unsigned char b = static_cast<unsigned char>(v >> (8 * i));
             bytes(&b, 1);
         }
+    }
+
+    /** The bit pattern of @p v, so any change in the last place
+     *  shows. */
+    void
+    f64(double v)
+    {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof(bits));
+        u64(bits);
     }
 
     std::uint64_t value() const { return h; }
@@ -242,6 +262,39 @@ appDirectChase(std::uint64_t region)
     return worldDigest(sys);
 }
 
+/**
+ * Run @p insts on a CpuCore over a Table V Hierarchy in front of
+ * @p mem. Hashes the CoreStats and the MetricsRegistry JSON (minus
+ * `*.kernel`) of the world, the groups in @p extra, and the L1, L2,
+ * LLC and TLB groups.
+ */
+std::uint64_t
+coreRunDigest(MemorySystem &mem, std::vector<trace::TraceInst> insts,
+              std::initializer_list<const StatGroup *> extra = {})
+{
+    cache::Hierarchy caches;
+    cpu::CpuCore core(mem, caches);
+    trace::VectorTraceSource src(std::move(insts));
+    cpu::CoreStats st = core.run(src, 1u << 30);
+    mem.drain();
+    MetricsRegistry reg;
+    mem.metricsInto(reg);
+    for (const StatGroup *g : extra)
+        reg.add(*g);
+    reg.add(caches.l1().stats());
+    reg.add(caches.l2().stats());
+    reg.add(caches.llc().stats());
+    reg.add(caches.tlb().stats());
+    Fnv1a f;
+    f.u64(st.elapsed);
+    f.u64(st.instructions);
+    f.f64(st.ipc);
+    f.f64(st.llcMpki);
+    f.f64(st.tlbMpki);
+    f.u64(metricsDigest(reg));
+    return f.value();
+}
+
 } // namespace
 
 // ---- (a) DDR4 command streams ---------------------------------------
@@ -366,4 +419,36 @@ TEST(GoldenDigest, Ddr4MainMemoryRandomRead)
     reg.add(mem.controller().statsConst());
     reg.add(mem.stats());
     EXPECT_EQ(hex(metricsDigest(reg)), hex(0xf64300a65752f5ccull));
+}
+
+// ---- (c) CPU core over the cache hierarchy ---------------------------
+
+TEST(GoldenDigest, SpecTraceOnDdr4)
+{
+    setQuiet(true);
+    EventQueue eq;
+    baselines::DramMainMemory mem(
+        eq, baselines::DramMainMemory::ddr4Params());
+    // mcf's mix over a 3 MB footprint instead of 9.1 GB, so a short
+    // run reuses lines and pages at every level: L1 and L2 victims
+    // write back, the LLC hits, the STLB catches L1 TLB misses.
+    workloads::SpecWorkload w = workloads::specWorkload("mcf", "2006");
+    w.footprintBytes = 3 << 20;
+    auto insts = workloads::generateSpecTrace(w, 40000, 32ull << 20, 3);
+    EXPECT_EQ(hex(coreRunDigest(mem, std::move(insts),
+                                {&mem.controller().statsConst(),
+                                 &mem.stats()})),
+              hex(0x0e281501fa933013ull));
+}
+
+TEST(GoldenDigest, RedisTraceOnVans)
+{
+    setQuiet(true);
+    EventQueue eq;
+    nvram::VansSystem sys(eq, nvram::NvramConfig::optaneDefault());
+    workloads::CloudParams cp;
+    cp.operations = 800;
+    cp.seed = 5;
+    EXPECT_EQ(hex(coreRunDigest(sys, workloads::redisTrace(cp))),
+              hex(0xefe449d67784022cull));
 }

@@ -14,6 +14,14 @@
  * and its teardown: a world whose loads wait on page walks must give
  * back every block it took (no event closure may own itself).
  *
+ * Two more price the cache layer: building and freeing a Table V
+ * Hierarchy takes a handful of blocks (one zeroed array per cache and
+ * TLB level), and a warmed hierarchy serves random accesses that miss
+ * every level without allocating. The cache arrays come from calloc,
+ * which the build links through __wrap_calloc (-Wl,--wrap=calloc) so
+ * that it is counted as an allocation too; live-block balance covers
+ * operator new/delete only.
+ *
  * Runs as its own executable -- not under gtest -- so nothing but the
  * simulator touches the heap inside the measured region, and it
  * unsets VANS_VERIFY/VANS_TRACE before building the world: verified
@@ -30,6 +38,7 @@
 
 #include "cache/hierarchy.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "cpu/core.hh"
 #include "lens/driver.hh"
 #include "nvram/vans_system.hh"
@@ -101,6 +110,15 @@ countedAllocAligned(std::size_t size, std::align_val_t align)
 }
 
 } // namespace
+
+extern "C" void *__real_calloc(std::size_t n, std::size_t size);
+
+extern "C" void *
+__wrap_calloc(std::size_t n, std::size_t size)
+{
+    g_newCalls.fetch_add(1, std::memory_order_relaxed);
+    return __real_calloc(n, size);
+}
 
 void *
 operator new(std::size_t size)
@@ -306,6 +324,90 @@ runTeardownTest()
     return 0;
 }
 
+/** Heap blocks (operator new plus calloc) a Table V Hierarchy takes
+ *  to be built and freed: one array per cache and TLB level. */
+int
+runHierarchyBuildTest()
+{
+    constexpr std::uint64_t budget = 8;
+    std::uint64_t before = newCalls();
+    {
+        cache::Hierarchy h;
+    }
+    std::uint64_t delta = newCalls() - before;
+    if (delta > budget) {
+        std::fprintf(stderr,
+                     "FAIL: building and freeing a Table V hierarchy "
+                     "took %llu heap blocks (budget %llu)\n",
+                     static_cast<unsigned long long>(delta),
+                     static_cast<unsigned long long>(budget));
+        return 1;
+    }
+    std::printf("PASS: building and freeing a Table V hierarchy took "
+                "%llu heap blocks\n",
+                static_cast<unsigned long long>(delta));
+    return 0;
+}
+
+/** Random lines over 64 GB: nearly every access misses the LLC and
+ *  walks. */
+void
+missRound(cache::Hierarchy &h, Rng &rng, unsigned accesses)
+{
+    for (unsigned i = 0; i < accesses; ++i) {
+        Addr a = rng.below(1ull << 30) * cacheLineSize;
+        h.access(a, rng.below(10) < 3);
+    }
+}
+
+int
+runHierarchyAccessTest()
+{
+    cache::Hierarchy h;
+    Rng rng(23);
+    // Warm-up: long enough for the LLC to evict dirty lines, so every
+    // counter the access path bumps already exists (checked below).
+    missRound(h, rng, 600000);
+    h.access(0, false);
+    h.access(0, false); // An L1 hit.
+    const StatGroup *groups[] = {&h.l1().stats(), &h.l2().stats(),
+                                 &h.llc().stats()};
+    for (const StatGroup *g : groups) {
+        for (const char *key : {"hits", "misses", "writebacks"}) {
+            if (!g->allScalars().count(key)) {
+                std::fprintf(stderr,
+                             "FAIL: warm-up never bumped %s.%s\n",
+                             g->name().c_str(), key);
+                return 1;
+            }
+        }
+    }
+
+    constexpr unsigned accesses = 200000;
+    std::uint64_t walks = h.tlb().stats().scalarValue("walks");
+    std::uint64_t misses = h.llc().stats().scalarValue("misses");
+    std::uint64_t before = newCalls();
+    missRound(h, rng, accesses);
+    std::uint64_t delta = newCalls() - before;
+    walks = h.tlb().stats().scalarValue("walks") - walks;
+    misses = h.llc().stats().scalarValue("misses") - misses;
+    if (delta != 0) {
+        std::fprintf(stderr,
+                     "FAIL: %llu heap allocation(s) across %u random "
+                     "hierarchy accesses (%llu LLC misses, %llu walks; "
+                     "expected 0)\n",
+                     static_cast<unsigned long long>(delta), accesses,
+                     static_cast<unsigned long long>(misses),
+                     static_cast<unsigned long long>(walks));
+        return 1;
+    }
+    std::printf("PASS: 0 heap allocations across %u random hierarchy "
+                "accesses (%llu LLC misses, %llu walks)\n",
+                accesses, static_cast<unsigned long long>(misses),
+                static_cast<unsigned long long>(walks));
+    return 0;
+}
+
 } // namespace
 
 int
@@ -313,5 +415,7 @@ main()
 {
     int failed = runTest();
     failed |= runTeardownTest();
+    failed |= runHierarchyBuildTest();
+    failed |= runHierarchyAccessTest();
     return failed;
 }
