@@ -42,7 +42,7 @@ DramMainMemory::issue(RequestHandle h)
     switch (req.op) {
       case MemOp::Read:
       case MemOp::ReadNT:
-        statGroup.scalar("reads").inc();
+        reads.inc();
         if (readsInFlight >= p.maxReads) {
             readWaiting.push_back(h);
             return;
@@ -53,7 +53,7 @@ DramMainMemory::issue(RequestHandle h)
       case MemOp::WriteNT:
       case MemOp::Clwb:
       case MemOp::Clflushopt:
-        statGroup.scalar("writes").inc();
+        writes.inc();
         if (writesInFlight >= p.maxWrites) {
             writeWaiting.push_back(h);
             return;

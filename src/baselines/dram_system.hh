@@ -75,7 +75,7 @@ class DramMainMemory : public MemorySystem
     }
 
     dram::DramController &controller() { return ctrl; }
-    StatGroup &stats() { return statGroup; }
+    const StatGroup &stats() const { return statGroup; }
 
     /** DDR4-2666 main memory (Table V DRAM configuration). */
     static DramSystemParams ddr4Params(std::uint64_t capacity =
@@ -103,6 +103,8 @@ class DramMainMemory : public MemorySystem
     Tick nextWriteSlot = 0;
 
     StatGroup statGroup;
+    StatScalar reads{statGroup, "reads"};
+    StatScalar writes{statGroup, "writes"};
 };
 
 /** PMEP: DRAM + injected delay + bandwidth throttle (Fig 1). */

@@ -50,18 +50,18 @@ Cache::access(Addr addr, bool write)
         res.hit = true;
         w->dirty = w->dirty || write;
         lines.touch(set, *w);
-        lazyScalar(statGroup, sHits, "hits").inc();
+        hits.inc();
         return res;
     }
 
-    lazyScalar(statGroup, sMisses, "misses").inc();
+    misses.inc();
     // Fill into an invalid way when one exists (a clflushopt'd line
     // leaves a free slot behind); only a full set evicts the LRU way.
     Way &victim = lines.victim(set);
     if (victim.rank != 0 && victim.dirty) {
         res.writeback = true;
         res.writebackAddr = ((victim.key << setShift) | set) * p.lineBytes;
-        lazyScalar(statGroup, sWritebacks, "writebacks").inc();
+        writebacks.inc();
     }
     victim.key = tag;
     victim.dirty = write;
@@ -103,8 +103,8 @@ Cache::clean(Addr addr)
 double
 Cache::missRate() const
 {
-    double h = static_cast<double>(statGroup.scalarValue("hits"));
-    double m = static_cast<double>(statGroup.scalarValue("misses"));
+    double h = static_cast<double>(hits.value());
+    double m = static_cast<double>(misses.value());
     return (h + m) > 0 ? m / (h + m) : 0;
 }
 

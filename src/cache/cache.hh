@@ -68,9 +68,12 @@ class Cache
     bool clean(Addr addr);
 
     const CacheParams &params() const { return p; }
-    StatGroup &stats() { return statGroup; }
+    const StatGroup &stats() const { return statGroup; }
 
     double missRate() const;
+
+    /** Accesses that missed this level so far. */
+    std::uint64_t missCount() const { return misses.value(); }
 
   private:
     CacheParams p;
@@ -78,9 +81,9 @@ class Cache
     unsigned setShift; ///< log2(numSets): line number -> tag.
     SetAssocArray lines;
     StatGroup statGroup;
-    StatScalar *sHits = nullptr;
-    StatScalar *sMisses = nullptr;
-    StatScalar *sWritebacks = nullptr;
+    StatScalar hits{statGroup, "hits"};
+    StatScalar misses{statGroup, "misses"};
+    StatScalar writebacks{statGroup, "writebacks"};
 };
 
 } // namespace vans::cache

@@ -33,7 +33,6 @@
 #include <memory>
 
 #include "common/logging.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace vans::cache
@@ -137,19 +136,6 @@ class SetAssocArray
     unsigned numWays;
     std::unique_ptr<Way, Free> slots;
 };
-
-/**
- * @p slot, resolved to the scalar @p name of @p group on first use:
- * the string lookup runs once, and a key still appears in the group
- * only once it has counted something.
- */
-inline StatScalar &
-lazyScalar(StatGroup &group, StatScalar *&slot, const char *name)
-{
-    if (!slot)
-        slot = &group.scalar(name);
-    return *slot;
-}
 
 } // namespace vans::cache
 

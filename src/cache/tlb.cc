@@ -68,18 +68,18 @@ Tlb::access(Addr addr)
 {
     std::uint64_t page = pageOf(addr);
     TlbResult r;
-    lazyScalar(statGroup, sAccesses, "accesses").inc();
+    accesses.inc();
     if (l1.lookup(page)) {
         r.l1Hit = true;
         return r;
     }
-    lazyScalar(statGroup, sL1Misses, "l1_misses").inc();
+    l1Misses.inc();
     if (stlb.lookup(page)) {
         r.stlbHit = true;
         l1.insert(page);
         return r;
     }
-    lazyScalar(statGroup, sWalks, "walks").inc();
+    walks.inc();
     r.walk = true;
     stlb.insert(page);
     l1.insert(page);
@@ -94,7 +94,7 @@ Tlb::install(Addr addr)
     stlb.insert(page);
     l1.insert(page);
     if (fresh)
-        lazyScalar(statGroup, sInstalls, "pretranslation_installs").inc();
+        installs.inc();
     return fresh;
 }
 
@@ -108,8 +108,8 @@ Tlb::contains(Addr addr) const
 double
 Tlb::walkRate() const
 {
-    double a = static_cast<double>(statGroup.scalarValue("accesses"));
-    double w = static_cast<double>(statGroup.scalarValue("walks"));
+    double a = static_cast<double>(accesses.value());
+    double w = static_cast<double>(walks.value());
     return a > 0 ? w / a : 0;
 }
 

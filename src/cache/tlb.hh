@@ -64,7 +64,10 @@ class Tlb
     /** Misses needing a walk / total accesses. */
     double walkRate() const;
 
-    StatGroup &stats() { return statGroup; }
+    /** Translations that needed a page walk so far. */
+    std::uint64_t walkCount() const { return walks.value(); }
+
+    const StatGroup &stats() const { return statGroup; }
 
   private:
     /** One level: sets of pages, indexed by the page's low bits. */
@@ -99,10 +102,10 @@ class Tlb
     Level l1;
     Level stlb;
     StatGroup statGroup;
-    StatScalar *sAccesses = nullptr;
-    StatScalar *sL1Misses = nullptr;
-    StatScalar *sWalks = nullptr;
-    StatScalar *sInstalls = nullptr;
+    StatScalar accesses{statGroup, "accesses"};
+    StatScalar l1Misses{statGroup, "l1_misses"};
+    StatScalar walks{statGroup, "walks"};
+    StatScalar installs{statGroup, "pretranslation_installs"};
 };
 
 } // namespace vans::cache

@@ -14,7 +14,7 @@ namespace
 
 /** JSON string escape (stat/group names are plain, but be safe). */
 std::string
-jsonEscape(const std::string &s)
+jsonEscape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size());
@@ -71,6 +71,20 @@ appendSampled(std::ostringstream &o, double v, std::uint64_t count)
     appendNumber(o, v);
 }
 
+/** `"name": {"mean": m, "min": lo, "max": hi` of @p a (a
+ *  distribution is an average too), left open for the caller. */
+void
+appendMoments(std::ostringstream &o, const StatAverage &a)
+{
+    std::uint64_t n = a.count();
+    o << "\n        \"" << jsonEscape(a.name()) << "\": {\"mean\": ";
+    appendSampled(o, a.mean(), n);
+    o << ", \"min\": ";
+    appendSampled(o, a.min(), n);
+    o << ", \"max\": ";
+    appendSampled(o, a.max(), n);
+}
+
 } // namespace
 
 std::string
@@ -86,50 +100,37 @@ MetricsRegistry::toJson() const
         o << "\n    {\n      \"name\": \"" << jsonEscape(g->name())
           << "\",\n      \"scalars\": {";
         bool first = true;
-        for (const auto &kv : g->allScalars()) {
+        for (const StatScalar *s : g->allScalars()) {
             if (!first)
                 o << ",";
             first = false;
-            o << "\n        \"" << jsonEscape(kv.first)
-              << "\": " << kv.second.value();
+            o << "\n        \"" << jsonEscape(s->name())
+              << "\": " << s->value();
         }
         o << (first ? "}" : "\n      }") << ",\n      \"averages\": {";
         first = true;
-        for (const auto &kv : g->allAverages()) {
+        for (const StatAverage *a : g->allAverages()) {
             if (!first)
                 o << ",";
             first = false;
-            std::uint64_t n = kv.second.count();
-            o << "\n        \"" << jsonEscape(kv.first)
-              << "\": {\"mean\": ";
-            appendSampled(o, kv.second.mean(), n);
-            o << ", \"min\": ";
-            appendSampled(o, kv.second.min(), n);
-            o << ", \"max\": ";
-            appendSampled(o, kv.second.max(), n);
-            o << ", \"count\": " << n << "}";
+            appendMoments(o, *a);
+            o << ", \"count\": " << a->count() << "}";
         }
         o << (first ? "}" : "\n      }")
           << ",\n      \"distributions\": {";
         first = true;
-        for (const auto &kv : g->allDistributions()) {
+        for (const StatDistribution *d : g->allDistributions()) {
             if (!first)
                 o << ",";
             first = false;
-            std::uint64_t n = kv.second.count();
-            o << "\n        \"" << jsonEscape(kv.first)
-              << "\": {\"mean\": ";
-            appendSampled(o, kv.second.mean(), n);
-            o << ", \"min\": ";
-            appendSampled(o, kv.second.min(), n);
-            o << ", \"max\": ";
-            appendSampled(o, kv.second.max(), n);
+            std::uint64_t n = d->count();
+            appendMoments(o, *d);
             o << ", \"p50\": ";
-            appendSampled(o, kv.second.percentile(0.5), n);
+            appendSampled(o, d->percentile(0.5), n);
             o << ", \"p99\": ";
-            appendSampled(o, kv.second.percentile(0.99), n);
+            appendSampled(o, d->percentile(0.99), n);
             o << ", \"p999\": ";
-            appendSampled(o, kv.second.percentile(0.999), n);
+            appendSampled(o, d->percentile(0.999), n);
             o << ", \"count\": " << n << "}";
         }
         o << (first ? "}" : "\n      }") << "\n    }";

@@ -1,13 +1,31 @@
 #include "common/stats.hh"
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "common/check.hh"
+#include "common/logging.hh"
 #include "common/snapshot.hh"
 
 namespace vans
 {
+
+StatEntry::StatEntry(StatGroup &group, Kind kind, const char *name)
+    : statName(name)
+{
+    StatEntry **at = &group.heads[kind];
+    int order = 1;
+    while (*at && (order = std::strcmp((*at)->statName, name)) < 0)
+        at = &(*at)->next;
+    // A plain panic, not a check macro: checkStatsInto registers
+    // scalars while it holds the check-site registry's lock.
+    if (order == 0)
+        panic("stat group \"%s\" registers \"%s\" twice",
+              group.name().c_str(), name);
+    next = *at;
+    *at = this;
+}
 
 double
 StatDistribution::percentile(double p) const
@@ -27,52 +45,70 @@ StatDistribution::percentile(double p) const
     return sorted[lo] * (1 - frac) + sorted[hi] * frac;
 }
 
-double
-StatDistribution::fractionAbove(double threshold) const
+StatEntry *
+StatGroup::findEntry(StatEntry::Kind kind, std::string_view name) const
 {
-    if (samples.empty())
-        return 0;
-    std::size_t n = 0;
-    for (double v : samples) {
-        if (v > threshold)
-            ++n;
+    for (StatEntry *e = heads[kind]; e; e = e->next) {
+        if (name == e->statName)
+            return e;
     }
-    return static_cast<double>(n) / static_cast<double>(samples.size());
+    return nullptr;
+}
+
+StatScalar &
+StatGroup::scalar(std::string_view name)
+{
+    if (StatEntry *e = findEntry(StatEntry::Scalar, name))
+        return static_cast<StatScalar &>(*e);
+    return owned.emplace_front(*this, name).stat;
+}
+
+std::uint64_t
+StatGroup::scalarValue(std::string_view name) const
+{
+    StatEntry *e = findEntry(StatEntry::Scalar, name);
+    return e ? static_cast<StatScalar *>(e)->value() : 0;
 }
 
 std::string
 StatGroup::dump() const
 {
     std::ostringstream out;
-    for (const auto &kv : scalars) {
-        out << groupName << '.' << kv.first << " = "
-            << kv.second.value() << '\n';
+    for (const StatScalar *s : allScalars())
+        out << groupName << '.' << s->name() << " = " << s->value()
+            << '\n';
+    for (const StatAverage *a : allAverages()) {
+        out << groupName << '.' << a->name() << " = " << a->mean()
+            << " (n=" << a->count() << ", min=" << a->min()
+            << ", max=" << a->max() << ")\n";
     }
-    for (const auto &kv : averages) {
-        out << groupName << '.' << kv.first << " = "
-            << kv.second.mean() << " (n=" << kv.second.count()
-            << ", min=" << kv.second.min()
-            << ", max=" << kv.second.max() << ")\n";
-    }
-    for (const auto &kv : distributions) {
-        out << groupName << '.' << kv.first << " = "
-            << kv.second.mean() << " (n=" << kv.second.count()
-            << ", p50=" << kv.second.percentile(0.5)
-            << ", p99=" << kv.second.percentile(0.99)
-            << ", p999=" << kv.second.percentile(0.999) << ")\n";
+    for (const StatDistribution *d : allDistributions()) {
+        out << groupName << '.' << d->name() << " = " << d->mean()
+            << " (n=" << d->count() << ", p50=" << d->percentile(0.5)
+            << ", p99=" << d->percentile(0.99)
+            << ", p999=" << d->percentile(0.999) << ")\n";
     }
     return out.str();
 }
 
 void
-StatGroup::reset()
+StatGroup::writeListed(snapshot::StateSink &sink) const
 {
-    for (auto &kv : scalars)
-        kv.second.reset();
-    for (auto &kv : averages)
-        kv.second.reset();
-    for (auto &kv : distributions)
-        kv.second.reset();
+    Listed<StatScalar> ss = allScalars();
+    sink.u64(ss.size());
+    for (const StatScalar *s : ss) {
+        sink.str(s->name());
+        sink.u64(s->value());
+    }
+    Listed<StatAverage> as = allAverages();
+    sink.u64(as.size());
+    for (const StatAverage *a : as) {
+        sink.str(a->name());
+        sink.f64(a->m.sum);
+        sink.u64(a->m.n);
+        sink.f64(a->m.lo);
+        sink.f64(a->m.hi);
+    }
 }
 
 void
@@ -80,19 +116,18 @@ StatGroup::snapshotTo(snapshot::StateSink &sink) const
 {
     sink.tag("stats");
     sink.str(groupName);
-    sink.u64(scalars.size());
-    for (const auto &kv : scalars) { // std::map: sorted, stable
-        sink.str(kv.first);
-        sink.u64(kv.second.value());
-    }
-    sink.u64(averages.size());
-    for (const auto &kv : averages) {
-        sink.str(kv.first);
-        sink.f64(kv.second.rawSum());
-        sink.u64(kv.second.count());
-        sink.f64(kv.second.rawMin());
-        sink.f64(kv.second.rawMax());
-    }
+    writeListed(sink);
+}
+
+template <typename T>
+T &
+StatGroup::registered(StatEntry::Kind kind, const std::string &key)
+{
+    StatEntry *e = findEntry(kind, key);
+    VANS_REQUIRE("stats", 0, e != nullptr,
+                 "stat group \"%s\" has no stat \"%s\" to restore",
+                 groupName.c_str(), key.c_str());
+    return static_cast<T &>(*e);
 }
 
 void
@@ -104,46 +139,30 @@ StatGroup::restoreFrom(snapshot::StateSource &src)
                  "stat group mismatch: stream has \"%s\", "
                  "restorer is \"%s\"",
                  name.c_str(), groupName.c_str());
-    scalars.clear();
-    averages.clear();
-    std::uint64_t ns = src.u64();
-    for (std::uint64_t i = 0; i < ns; ++i) {
-        std::string key = src.str();
-        scalars[key].set(src.u64());
-    }
-    std::uint64_t na = src.u64();
-    for (std::uint64_t i = 0; i < na; ++i) {
-        std::string key = src.str();
-        double sum = src.f64();
-        std::uint64_t cnt = src.u64();
-        double lo = src.f64();
-        double hi = src.f64();
-        averages[key].restoreRaw(sum, cnt, lo, hi);
+    for (StatEntry *e = heads[StatEntry::Scalar]; e; e = e->next)
+        static_cast<StatScalar *>(e)->set(0);
+    for (StatEntry *e = heads[StatEntry::Average]; e; e = e->next)
+        static_cast<StatAverage *>(e)->m = {};
+    // Each stat is looked up before its values are read: C++17 orders
+    // a call's object expression before its arguments, and a braced
+    // list left to right.
+    for (std::uint64_t n = src.u64(); n > 0; --n)
+        registered<StatScalar>(StatEntry::Scalar, src.str())
+            .set(src.u64());
+    for (std::uint64_t n = src.u64(); n > 0; --n) {
+        StatAverage &a =
+            registered<StatAverage>(StatEntry::Average, src.str());
+        a.m = {src.f64(), src.u64(), src.f64(), src.f64()};
     }
 }
 
 bool
 StatGroup::identicalTo(const StatGroup &other) const
 {
-    if (scalars.size() != other.scalars.size() ||
-        averages.size() != other.averages.size())
-        return false;
-    for (const auto &kv : scalars) {
-        auto it = other.scalars.find(kv.first);
-        if (it == other.scalars.end() ||
-            it->second.value() != kv.second.value())
-            return false;
-    }
-    for (const auto &kv : averages) {
-        auto it = other.averages.find(kv.first);
-        if (it == other.averages.end() ||
-            it->second.rawSum() != kv.second.rawSum() ||
-            it->second.count() != kv.second.count() ||
-            it->second.rawMin() != kv.second.rawMin() ||
-            it->second.rawMax() != kv.second.rawMax())
-            return false;
-    }
-    return true;
+    snapshot::StateSink mine, theirs;
+    writeListed(mine);
+    other.writeListed(theirs);
+    return mine.data() == theirs.data();
 }
 
 } // namespace vans

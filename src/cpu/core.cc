@@ -10,8 +10,7 @@ CpuCore::CpuCore(MemorySystem &memory, cache::Hierarchy &hier,
     : mem(memory),
       eq(memory.eventQueue()),
       caches(hier),
-      p(params),
-      statGroup("core")
+      p(params)
 {}
 
 void
@@ -132,10 +131,8 @@ CpuCore::run(trace::TraceSource &src, std::uint64_t max_insts)
     coreTime = start;
     Tick cycle = nsToTicks(1.0 / p.freqGhz);
 
-    std::uint64_t llc_miss_start =
-        caches.llc().stats().scalarValue("misses");
-    std::uint64_t walks_start =
-        caches.tlb().stats().scalarValue("walks");
+    std::uint64_t llc_miss_start = caches.llc().missCount();
+    std::uint64_t walks_start = caches.tlb().walkCount();
 
     trace::TraceInst inst;
     std::shared_ptr<Pending> last_load;
@@ -313,16 +310,14 @@ CpuCore::run(trace::TraceSource &src, std::uint64_t max_insts)
         static_cast<double>(out.instructions) / 1000.0;
     out.llcMpki =
         kilo_insts > 0
-            ? static_cast<double>(
-                  caches.llc().stats().scalarValue("misses") -
-                  llc_miss_start) /
+            ? static_cast<double>(caches.llc().missCount() -
+                                  llc_miss_start) /
                   kilo_insts
             : 0;
     out.tlbMpki =
         kilo_insts > 0
-            ? static_cast<double>(
-                  caches.tlb().stats().scalarValue("walks") -
-                  walks_start) /
+            ? static_cast<double>(caches.tlb().walkCount() -
+                                  walks_start) /
                   kilo_insts
             : 0;
     out.readStallNs = read_stall_ns;

@@ -22,7 +22,6 @@
 
 #include "cache/hierarchy.hh"
 #include "common/mem_system.hh"
-#include "common/stats.hh"
 #include "trace/trace.hh"
 
 namespace vans::cpu
@@ -80,7 +79,6 @@ class CpuCore
     std::function<bool(Addr)> tlbAssist;
 
     cache::Hierarchy &hierarchy() { return caches; }
-    StatGroup &stats() { return statGroup; }
 
   private:
     /** Advance the event queue to @p when. */
@@ -123,8 +121,6 @@ class CpuCore
     Tick coreTime = 0;
     std::deque<std::shared_ptr<Pending>> loadsInFlight;
     unsigned storesInFlight = 0;
-
-    StatGroup statGroup;
 };
 
 } // namespace vans::cpu

@@ -23,7 +23,7 @@ DramController::DramController(EventQueue &eq, const DramTiming &timing,
       lastCasInGroup(geometry.ranks * geometry.bankGroups, 0),
       lastActInGroup(geometry.ranks * geometry.bankGroups, 0),
       nextRefresh(spec.tREFI ? spec.cyc(spec.tREFI) : never),
-      statGroup(std::move(name))
+      statGroup(std::move(name), StatGroup::Listing::All)
 {
     // LineReq packs the bank, row and column into 16, 32 and 16 bits.
     if (banks.size() > 0xffff || geometry.rowsPerBank() > 0xffffffffull ||
@@ -32,22 +32,6 @@ DramController::DramController(EventQueue &eq, const DramTiming &timing,
               statGroup.name().c_str());
     if (verify::envEnabled())
         enableOnlineCheck();
-    cacheStatPointers();
-}
-
-void
-DramController::cacheStatPointers()
-{
-    // Touch every stat this controller ever records so the map nodes
-    // exist up front: a first-touch inside the event loop (e.g. the
-    // first refresh) would otherwise allocate mid-run.
-    for (const char *name :
-         {"row_hits", "row_conflicts", "row_misses", "cmd_act",
-          "cmd_pre", "cmd_rd", "cmd_wr", "cmd_ref", "read_accesses",
-          "write_accesses", "bytes_read", "bytes_written"})
-        statGroup.scalar(name);
-    sReadLatency = &statGroup.average("read_latency_ns");
-    sWriteLatency = &statGroup.average("write_latency_ns");
 }
 
 void
@@ -146,8 +130,8 @@ DramController::access(Addr addr, bool write, std::uint32_t size,
         r.parentIdx = parent;
         (write ? writeQueue : readQueue).push_back(r);
     }
-    statGroup.scalar(write ? "write_accesses" : "read_accesses").inc();
-    statGroup.scalar(write ? "bytes_written" : "bytes_read").inc(size);
+    (write ? writeAccesses : readAccesses).inc();
+    (write ? bytesWritten : bytesRead).inc(size);
     planValid = false;
     scheduleWakeup(eventq.curTick());
 }
@@ -237,7 +221,7 @@ DramController::issueAct(const LineReq &r)
         actWindow.pop_front();
 
     cmdBusFree = now + spec.period();
-    statGroup.scalar("cmd_act").inc();
+    cmdAct.inc();
     emit(DramCmd::ACT, now, r.bank, r.row, 0);
 }
 
@@ -249,7 +233,7 @@ DramController::issuePre(unsigned bank)
     b.open = false;
     b.actReady = std::max(b.actReady, now + spec.cyc(spec.tRP));
     cmdBusFree = now + spec.period();
-    statGroup.scalar("cmd_pre").inc();
+    cmdPre.inc();
     emit(DramCmd::PRE, now, bank, b.row, 0);
 }
 
@@ -271,10 +255,10 @@ DramController::issueCas(const LineReq &r)
         // Write recovery gates the next PRE of this bank.
         b.preReady = std::max(b.preReady,
                               data_end + spec.cyc(spec.tWR));
-        statGroup.scalar("cmd_wr").inc();
+        cmdWr.inc();
     } else {
         b.preReady = std::max(b.preReady, now + spec.cyc(spec.tRTP));
-        statGroup.scalar("cmd_rd").inc();
+        cmdRd.inc();
     }
 
     cmdBusFree = now + spec.period();
@@ -288,8 +272,8 @@ DramController::issueCas(const LineReq &r)
         Parent &pa = parents[pi];
         pa.lastData = std::max(pa.lastData, data_end);
         if (--pa.remaining == 0) {
-            (write ? sWriteLatency : sReadLatency)
-                ->sample(ticksToNs(data_end - enq));
+            (write ? writeLatency : readLatency)
+                .sample(ticksToNs(data_end - enq));
             if (tracer) [[unlikely]] {
                 tracer->span(traceTrack, write ? lblWrite : lblRead,
                              enq, data_end);
@@ -314,7 +298,7 @@ DramController::doRefresh()
     for (unsigned i = 0; i < banks.size(); ++i) {
         BankState &b = banks[i];
         if (b.open) {
-            statGroup.scalar("cmd_pre").inc();
+            cmdPre.inc();
             emit(DramCmd::PRE, now, i, b.row, 0);
             b.open = false;
         }
@@ -325,7 +309,7 @@ DramController::doRefresh()
                               ref_at + spec.cyc(spec.tRFC));
     }
     cmdBusFree = std::max(cmdBusFree, ref_at + spec.period());
-    statGroup.scalar("cmd_ref").inc();
+    cmdRef.inc();
     emit(DramCmd::REF, ref_at, 0, 0, 0);
     nextRefresh += spec.cyc(spec.tREFI);
     refreshPending = false;
@@ -516,7 +500,6 @@ DramController::restoreFrom(snapshot::StateSource &src)
     bool wakeup = src.boolean();
     Tick wakeup_at = src.u64();
     statGroup.restoreFrom(src);
-    cacheStatPointers(); // restoreFrom rebuilt the stat maps.
     bool had_checker = src.boolean();
     if (had_checker && checker)
         checker->restoreFrom(src);
@@ -545,20 +528,20 @@ DramController::issueFor(LineReq &r)
     BankState &b = banks[r.bank];
     if (b.open && b.row == r.row) {
         if (!r.classified)
-            statGroup.scalar("row_hits").inc();
+            rowHits.inc();
         r.classified = true;
         issueCas(r);
         return true;
     }
     if (b.open) {
         if (!r.classified)
-            statGroup.scalar("row_conflicts").inc();
+            rowConflicts.inc();
         r.classified = true;
         issuePre(r.bank);
         return false;
     }
     if (!r.classified)
-        statGroup.scalar("row_misses").inc();
+        rowMisses.inc();
     r.classified = true;
     issueAct(r);
     return false;

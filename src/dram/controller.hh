@@ -85,8 +85,7 @@ class DramController
     }
 
     /** Statistics group (row hits, misses, commands, bytes). */
-    StatGroup &stats() { return statGroup; }
-    const StatGroup &statsConst() const { return statGroup; }
+    const StatGroup &stats() const { return statGroup; }
 
     /** Command trace for the protocol checker. */
     CommandTrace &trace() { return cmdTrace; }
@@ -326,16 +325,20 @@ class DramController
     bool planValid = false;
 
     StatGroup statGroup;
-    /** Cached latency averages: the names exceed std::string's SSO
-     *  and the data-completion event must not allocate per access. */
-    // simlint-transient(re-resolved by cacheStatPointers after
-    // restoreFrom rebuilds the stat maps)
-    StatAverage *sReadLatency = nullptr;
-    // simlint-transient(re-resolved by cacheStatPointers after
-    // restoreFrom rebuilds the stat maps)
-    StatAverage *sWriteLatency = nullptr;
-    /** Re-resolve the cached stat pointers (ctor and post-restore). */
-    void cacheStatPointers();
+    StatScalar rowHits{statGroup, "row_hits"};
+    StatScalar rowConflicts{statGroup, "row_conflicts"};
+    StatScalar rowMisses{statGroup, "row_misses"};
+    StatScalar cmdAct{statGroup, "cmd_act"};
+    StatScalar cmdPre{statGroup, "cmd_pre"};
+    StatScalar cmdRd{statGroup, "cmd_rd"};
+    StatScalar cmdWr{statGroup, "cmd_wr"};
+    StatScalar cmdRef{statGroup, "cmd_ref"};
+    StatScalar readAccesses{statGroup, "read_accesses"};
+    StatScalar writeAccesses{statGroup, "write_accesses"};
+    StatScalar bytesRead{statGroup, "bytes_read"};
+    StatScalar bytesWritten{statGroup, "bytes_written"};
+    StatAverage readLatency{statGroup, "read_latency_ns"};
+    StatAverage writeLatency{statGroup, "write_latency_ns"};
     // simlint-transient(the command trace is documented as not
     // preserved across snapshot -- a restored world records a fresh
     // trace, which the snapshot-identity test relies on)

@@ -110,7 +110,7 @@ Ait::installPage(Addr page)
     // Write-through buffer: the victim is never dirty, drop it.
     Addr evicted = 0;
     if (bufLru.insert(page, evicted))
-        statGroup.scalar("buf_evictions").inc();
+        bufEvictions.inc();
     // The resident set is bounded by the 4096 x 4KB (16MB) on-DIMM
     // DRAM budget.
     VANS_AUDIT("ait", eventq.curTick(),
@@ -124,7 +124,7 @@ Ait::read(Addr addr, DoneCallback done)
 {
     Addr page = pageOf(addr);
     Tick tag_done = eventq.curTick() + nsToTicks(cfg.aitTagNs);
-    statGroup.scalar("reads").inc();
+    reads.inc();
 
     if (preTranslationFetch) {
         // One extra on-DIMM DRAM access fetches the Pre-translation
@@ -142,7 +142,7 @@ Ait::read(Addr addr, DoneCallback done)
     }
 
     if (bufferHit(page)) {
-        statGroup.scalar("buf_hits").inc();
+        bufHits.inc();
         // Even a buffer hit consults the translation entry (wear
         // records live there): one extra on-DIMM DRAM access unless
         // the translation cache has the page, then the 256B data
@@ -167,7 +167,7 @@ Ait::read(Addr addr, DoneCallback done)
         return;
     }
 
-    statGroup.scalar("buf_misses").inc();
+    bufMisses.inc();
     Tick t0 = eventq.curTick();
     eventq.schedule(tag_done, [this, addr, page, t0,
                                done = std::move(done)]() mutable {
@@ -184,7 +184,7 @@ Ait::startMissFetch(Addr addr, Addr page, Tick t0, DoneCallback done)
     // when the fill engine backs up -- the media must actually
     // absorb 4KB per miss (this is the AIT read amplification).
     if (media.fillBacklog() > 24) {
-        statGroup.scalar("fill_throttle").inc();
+        fillThrottle.inc();
         eventq.scheduleAfter(
             nsToTicks(cfg.mediaReadNs),
             [this, addr, page, t0,
@@ -197,21 +197,19 @@ Ait::startMissFetch(Addr addr, Addr page, Tick t0, DoneCallback done)
         tableEntryAddr(page), false, cacheLineSize,
         [this, addr, page, t0,
          done = std::move(done)](Tick t1) mutable {
-            statGroup.average("miss_table_ns")
-                .sample(ticksToNs(t1 - t0));
+            missTableNs.sample(ticksToNs(t1 - t0));
             tableCacheInsert(page);
             Addr crit = alignDown(mediaAddrOf(addr),
                                   cfg.mediaChunkBytes);
             media.readChunk(
                 crit, [this, addr, page, t0, t1,
                        done = std::move(done)](Tick t) mutable {
-                    statGroup.average("miss_crit_ns")
-                        .sample(ticksToNs(t - t1));
+                    missCritNs.sample(ticksToNs(t - t1));
                     if (tracer) [[unlikely]]
                         tracer->spanAddr(traceTrack, lblMiss, t0, t,
                                          addr);
                     installPage(page);
-                    statGroup.scalar("media_fills").inc();
+                    mediaFills.inc();
                     if (done)
                         done(t);
                     // Background fill of the remaining chunks,
@@ -257,10 +255,10 @@ Ait::readForFill(Addr addr, DoneCallback done)
 {
     Addr page = pageOf(addr);
     Tick tag_done = eventq.curTick() + nsToTicks(cfg.aitTagNs);
-    statGroup.scalar("fill_reads").inc();
+    fillReads.inc();
 
     if (bufferHit(page)) {
-        statGroup.scalar("buf_hits").inc();
+        bufHits.inc();
         bool tlc_hit = tableCacheHit(page);
         eventq.schedule(tag_done, [this, addr, page, tlc_hit,
                                    done = std::move(done)]() mutable {
@@ -282,7 +280,7 @@ Ait::readForFill(Addr addr, DoneCallback done)
     }
 
     // No-allocate: one translation lookup plus a single media chunk.
-    statGroup.scalar("buf_misses").inc();
+    bufMisses.inc();
     eventq.schedule(tag_done, [this, addr, page,
                                done = std::move(done)]() mutable {
         dram.access(tableEntryAddr(page), false, cacheLineSize,
@@ -328,7 +326,7 @@ Ait::acceptWrite(Addr addr, DoneCallback done)
                  "write intake overflow (%zu queued, bound %zu)",
                  intakeCount, writeIntakeDepth);
     intakePush(PendingWrite{addr, std::move(done), eventq.curTick()});
-    statGroup.scalar("writes").inc();
+    writes.inc();
     if (!drainBusy)
         drainWrites();
 }
@@ -348,7 +346,7 @@ Ait::drainWrites()
     // media write and the wear accounting.
     if (writeAbsorber && writeAbsorber(head.addr)) {
         PendingWrite w = intakePop();
-        statGroup.scalar("lazy_absorbed").inc();
+        lazyAbsorbed.inc();
         Tick at = now + nsToTicks(lazyAbsorbNs);
         if (w.done) {
             eventq.schedule(at,
@@ -367,7 +365,7 @@ Ait::drainWrites()
     // writes to this block").
     Tick blocked = wear.blockedUntil(head.addr);
     if (blocked > now) {
-        statGroup.scalar("migration_stalls").inc();
+        migrationStalls.inc();
         if (tracer) [[unlikely]] {
             // The stall slice spans the wait; the flow arrow ties it
             // back to the migration span on the wear track.
@@ -401,8 +399,7 @@ Ait::drainWrites()
         dram.access(bufferSlotAddr(w.addr), true, cfg.rmwLineBytes,
                     nullptr);
     }
-    statGroup.average("write_intake_ns")
-        .sample(ticksToNs(now - w.enqueueTick));
+    writeIntakeNs.sample(ticksToNs(now - w.enqueueTick));
     if (w.done)
         w.done(now);
     if (onWriteSpaceFreed)

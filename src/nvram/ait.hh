@@ -102,7 +102,7 @@ class Ait
     WearLeveler &wearLeveler() { return wear; }
     XPointMedia &mediaDev() { return media; }
     dram::DramController &dramCtrl() { return dram; }
-    StatGroup &stats() { return statGroup; }
+    const StatGroup &stats() const { return statGroup; }
 
     /**
      * Attach tracing to this AIT and its submodels (media
@@ -237,6 +237,19 @@ class Ait
     PendingWrite intakePop();
 
     StatGroup statGroup;
+    StatScalar reads{statGroup, "reads"};
+    StatScalar writes{statGroup, "writes"};
+    StatScalar bufHits{statGroup, "buf_hits"};
+    StatScalar bufMisses{statGroup, "buf_misses"};
+    StatScalar bufEvictions{statGroup, "buf_evictions"};
+    StatScalar fillReads{statGroup, "fill_reads"};
+    StatScalar fillThrottle{statGroup, "fill_throttle"};
+    StatScalar mediaFills{statGroup, "media_fills"};
+    StatScalar lazyAbsorbed{statGroup, "lazy_absorbed"};
+    StatScalar migrationStalls{statGroup, "migration_stalls"};
+    StatAverage missTableNs{statGroup, "miss_table_ns"};
+    StatAverage missCritNs{statGroup, "miss_crit_ns"};
+    StatAverage writeIntakeNs{statGroup, "write_intake_ns"};
 
     obs::TraceRecorder *tracer = nullptr;
     // simlint-transient(trace wiring assigned by attachTracer after

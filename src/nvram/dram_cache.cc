@@ -45,7 +45,7 @@ DramCache::DramCache(EventQueue &eq, const NvramConfig &config,
       numSets(config.dcacheCapacity / cacheLineSize),
       tags(numSets, 0),
       lineState(numSets, 0),
-      statGroup(name),
+      statGroup(name, StatGroup::Listing::All),
       dram(eq, config.dcacheTiming, cacheDramGeometry(config),
            dram::SchedPolicy::FRFCFS, dram::MapScheme::RowBankCol,
            name + ".dram")
@@ -60,23 +60,6 @@ DramCache::DramCache(EventQueue &eq, const NvramConfig &config,
     fetching.reserve(cfg.rpqEntries);
     missWaiters.reserve(cfg.rpqEntries);
     waiterScratch.reserve(cfg.rpqEntries);
-    cacheStatPointers();
-}
-
-void
-DramCache::cacheStatPointers()
-{
-    sHits = &statGroup.scalar("hits");
-    sMisses = &statGroup.scalar("misses");
-    sMshrMerges = &statGroup.scalar("mshr_merges");
-    sFills = &statGroup.scalar("fills");
-    sDirtyEvicts = &statGroup.scalar("dirty_evicts");
-    sWriteThroughs = &statGroup.scalar("writethroughs");
-    sInvalidates = &statGroup.scalar("invalidates");
-    sWbWriteHits = &statGroup.scalar("wb_write_hits");
-    sWbWriteMisses = &statGroup.scalar("wb_write_misses");
-    sNvmLineWrites = &statGroup.scalar("nvm_line_writes");
-    sHitRatio = &statGroup.average("hit_ratio");
 }
 
 void
@@ -120,21 +103,21 @@ DramCache::read(Addr addr, DoneCallback done)
     Addr line = alignDown(addr, cacheLineSize);
     std::uint64_t set = setOf(line);
     bool hit = present(set, line);
-    sHitRatio->sample(hit ? 1.0 : 0.0);
+    hitRatio.sample(hit ? 1.0 : 0.0);
     if (hit) {
-        sHits->inc();
+        hits.inc();
         // Data lives in the cache DIMM: one 64B DRAM access at DDR4
         // timing is the whole service.
         dram.access(slotAddr(set), false, cacheLineSize,
                     std::move(done));
         return;
     }
-    sMisses->inc();
+    misses.inc();
     bool merged = fetchInFlight(line);
     missWaiters.emplace_back(line, std::move(done));
     if (merged) {
         // MSHR merge: ride the outstanding fetch.
-        sMshrMerges->inc();
+        mshrMerges.inc();
         return;
     }
     fetching.emplace_back(line, eventq.curTick());
@@ -151,7 +134,7 @@ DramCache::fillArrived(Addr line)
     // against it.
     if (!present(set, line)) {
         installLine(line, false);
-        sFills->inc();
+        fills.inc();
         dramWrite(line);
     }
     // Retire the MSHR before waking waiters: a released callback may
@@ -192,7 +175,7 @@ DramCache::installLine(Addr line, bool dirty)
         tags[set] != line) {
         // Direct-mapped conflict with a dirty resident: the victim's
         // only up-to-date copy is here, write it back to the DIMM.
-        sDirtyEvicts->inc();
+        dirtyEvicts.inc();
         if (tracer) [[unlikely]] {
             Tick now = eventq.curTick();
             tracer->span(traceTrack, lblEvict, now,
@@ -215,12 +198,12 @@ DramCache::accept(Addr line, std::uint8_t kind)
         // Persist-kind store: the DIMM must see it (clwb / ntstore
         // keep their App Direct durability path through the volatile
         // cache).
-        sWriteThroughs->inc();
+        writeThroughs.inc();
         pushNvmWrite(line);
         if (was_present) {
             if ((kind & kInvalidate) != 0) {
                 // clflushopt: writeback + invalidate.
-                sInvalidates->inc();
+                invalidates.inc();
                 lineState[set] = 0;
             } else {
                 // The cached copy now matches the DIMM: clean.
@@ -233,9 +216,9 @@ DramCache::accept(Addr line, std::uint8_t kind)
     // Plain store: write-back allocate. The WPQ drained the full
     // 64B line, so a miss installs without fetching from the DIMM.
     if (was_present)
-        sWbWriteHits->inc();
+        wbWriteHits.inc();
     else
-        sWbWriteMisses->inc();
+        wbWriteMisses.inc();
     installLine(line, true);
     lineState[set] = kValid | kDirty;
     dramWrite(line);
@@ -254,7 +237,7 @@ DramCache::dramWrite(Addr line)
 void
 DramCache::pushNvmWrite(Addr line)
 {
-    sNvmLineWrites->inc();
+    nvmLineWrites.inc();
     nvmWbQueue.push_back(line);
     drainNvmWrites();
 }
@@ -334,7 +317,6 @@ DramCache::restoreFrom(snapshot::StateSource &src)
     }
     statGroup.restoreFrom(src);
     dram.restoreFrom(src);
-    cacheStatPointers();
 }
 
 } // namespace vans::nvram

@@ -116,7 +116,7 @@ class DramCache
     /** Dirty probe (tests / reference-model checks). */
     bool isDirty(Addr line) const;
 
-    StatGroup &stats() { return statGroup; }
+    const StatGroup &stats() const { return statGroup; }
     dram::DramController &dramCtrl() { return dram; }
 
     /** Configured set count (capacity / 64). */
@@ -231,44 +231,17 @@ class DramCache
     std::uint32_t outstandingDramWrites = 0;
 
     StatGroup statGroup;
-    /** Cached hot-path counters: StatGroup::scalar takes a string
-     *  key, which is off the hot path once these are resolved.
-     *  Re-cached after restoreFrom (restore rebuilds the maps). */
-    // simlint-transient(cached pointer into statGroup, which is
-    // serialized; cacheStatPointers re-resolves after restore)
-    StatScalar *sHits = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // by cacheStatPointers after restore)
-    StatScalar *sMisses = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // by cacheStatPointers after restore)
-    StatScalar *sMshrMerges = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // by cacheStatPointers after restore)
-    StatScalar *sFills = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // by cacheStatPointers after restore)
-    StatScalar *sDirtyEvicts = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // by cacheStatPointers after restore)
-    StatScalar *sWriteThroughs = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // by cacheStatPointers after restore)
-    StatScalar *sInvalidates = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // by cacheStatPointers after restore)
-    StatScalar *sWbWriteHits = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // by cacheStatPointers after restore)
-    StatScalar *sWbWriteMisses = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // by cacheStatPointers after restore)
-    StatScalar *sNvmLineWrites = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // by cacheStatPointers after restore)
-    StatAverage *sHitRatio = nullptr;
-    /** Re-resolve the cached stat pointers (ctor and post-restore). */
-    void cacheStatPointers();
+    StatScalar hits{statGroup, "hits"};
+    StatScalar misses{statGroup, "misses"};
+    StatScalar mshrMerges{statGroup, "mshr_merges"};
+    StatScalar fills{statGroup, "fills"};
+    StatScalar dirtyEvicts{statGroup, "dirty_evicts"};
+    StatScalar writeThroughs{statGroup, "writethroughs"};
+    StatScalar invalidates{statGroup, "invalidates"};
+    StatScalar wbWriteHits{statGroup, "wb_write_hits"};
+    StatScalar wbWriteMisses{statGroup, "wb_write_misses"};
+    StatScalar nvmLineWrites{statGroup, "nvm_line_writes"};
+    StatAverage hitRatio{statGroup, "hit_ratio"};
 
     dram::DramController dram;
 

@@ -12,13 +12,14 @@ namespace vans::nvram
 
 Imc::Imc(EventQueue &eq, RequestPool &req_pool,
          const NvramConfig &config, const std::string &name)
-    : eventq(eq), pool(req_pool), cfg(config), statGroup(name)
+    : eventq(eq), pool(req_pool), cfg(config),
+      statGroup(name, StatGroup::Listing::All)
 {
     cfg.validate();
     channels.resize(cfg.numDimms);
     for (unsigned i = 0; i < cfg.numDimms; ++i) {
         Channel &ch = channels[i];
-        ch.stats = std::make_unique<StatGroup>(
+        ch.stats = std::make_unique<ChannelStats>(
             name + ".ch" + std::to_string(i));
         ch.dimm = std::make_unique<NvramDimm>(
             eventq, cfg, name + ".dimm" + std::to_string(i));
@@ -37,22 +38,7 @@ Imc::Imc(EventQueue &eq, RequestPool &req_pool,
         }
         ch.wpqLines.reserve(cfg.wpqEntries);
         ch.wpqKinds.reserve(cfg.wpqEntries);
-        cacheStatPointers(ch);
     }
-    sReads = &statGroup.scalar("reads");
-    sWrites = &statGroup.scalar("writes");
-    sFences = &statGroup.scalar("fences");
-    sSfences = &statGroup.scalar("sfences");
-    sWcPartialDrains = &statGroup.scalar("wc_partial_drains");
-}
-
-void
-Imc::cacheStatPointers(Channel &ch)
-{
-    ch.sBusTurnarounds = &ch.stats->scalar("bus_turnarounds");
-    ch.sWpqMerges = &ch.stats->scalar("wpq_merges");
-    ch.sWpqStalls = &ch.stats->scalar("wpq_stalls");
-    ch.sWpqReadHazards = &ch.stats->scalar("wpq_read_hazards");
 }
 
 bool
@@ -137,7 +123,7 @@ Imc::busTransfer(Channel &ch, bool write, std::uint32_t bytes)
     Tick start = std::max(now, ch.bus.freeAt);
     if (ch.bus.used && ch.bus.lastWasWrite != write) {
         start += nsToTicks(cfg.busTurnaroundNs);
-        ch.sBusTurnarounds->inc();
+        ch.stats->busTurnarounds.inc();
     }
     unsigned beats = (bytes + cacheLineSize - 1) / cacheLineSize;
     Tick occupancy = nsToTicks(cfg.busCmdNs) +
@@ -189,7 +175,7 @@ Imc::completeWrite(Channel &ch, RequestHandle h)
 void
 Imc::issueWrite(RequestHandle h)
 {
-    sWrites->inc();
+    writes.inc();
     Request &req = pool.get(h);
     unsigned ci = dimmOf(req.addr);
     Channel &ch = channels[ci];
@@ -220,7 +206,7 @@ Imc::issueWrite(RequestHandle h)
             if (wpqContains(c, line)) {
                 // Merge into the pending entry: already in ADR. The
                 // merged data inherits the strongest write kind.
-                c.sWpqMerges->inc();
+                c.stats->wpqMerges.inc();
                 wpqKindMerge(c, line, kind);
                 completeWrite(c, h);
                 return;
@@ -231,7 +217,7 @@ Imc::issueWrite(RequestHandle h)
                 return;
             }
             // WPQ full: the store stalls until a slot frees.
-            c.sWpqStalls->inc();
+            c.stats->wpqStalls.inc();
             c.wpqWaiting.push_back(h);
             wpqDrain(ci);
         });
@@ -325,7 +311,7 @@ Imc::wpqDrain(unsigned ci)
             Addr wline = alignDown(pool.get(w).addr, cacheLineSize);
             std::uint8_t wkind = writeKindOf(pool.get(w).op);
             if (wpqContains(c, wline)) {
-                c.sWpqMerges->inc();
+                c.stats->wpqMerges.inc();
                 wpqKindMerge(c, wline, wkind);
                 completeWrite(c, w);
             } else {
@@ -344,7 +330,7 @@ Imc::wpqDrain(unsigned ci)
 void
 Imc::issueRead(RequestHandle h)
 {
-    sReads->inc();
+    reads.inc();
     unsigned ci = dimmOf(pool.get(h).addr);
     Channel &ch = channels[ci];
     ++ch.pendingArrivals;
@@ -361,7 +347,7 @@ Imc::issueRead(RequestHandle h)
             // loads do not forward from the WPQ -- section III-C's
             // RaW behaviour).
             if (wpqContains(c, line)) {
-                c.sWpqReadHazards->inc();
+                c.stats->wpqReadHazards.inc();
                 c.wpqReadHazards.emplace_back(line, h);
                 return;
             }
@@ -419,7 +405,7 @@ Imc::startRead(unsigned ci, RequestHandle h)
 void
 Imc::issueFence(RequestHandle h)
 {
-    sFences->inc();
+    fences.inc();
     noteQueued(h);
     pendingFences.push_back(h);
     checkFences();
@@ -484,7 +470,7 @@ Imc::checkFences()
 void
 Imc::issueSfence(RequestHandle h)
 {
-    sSfences->inc();
+    sfences.inc();
     noteQueued(h);
     Tick ready = eventq.curTick();
     // Sfence drains the NT write-combining buffers. A run cut at a
@@ -493,7 +479,7 @@ Imc::issueSfence(RequestHandle h)
     // the wcBufferBytes crossover.
     if (wcFill % cfg.wcBufferBytes != 0) {
         ready += nsToTicks(cfg.wcPartialDrainNs);
-        sWcPartialDrains->inc();
+        wcPartialDrains.inc();
     }
     wcFill = 0;
     pendingSfences.push_back({h, ready});
@@ -571,15 +557,6 @@ Imc::seedDurable(Addr line, std::uint64_t version)
         v = version;
 }
 
-std::uint64_t
-Imc::channelScalarSum(const std::string &name) const
-{
-    std::uint64_t n = 0;
-    for (const auto &ch : channels)
-        n += ch.stats->scalarValue(name);
-    return n;
-}
-
 bool
 Imc::quiescent() const
 {
@@ -620,7 +597,7 @@ Imc::snapshotTo(snapshot::StateSink &sink) const
         sink.u64(ch.bus.freeAt);
         sink.boolean(ch.bus.lastWasWrite);
         sink.boolean(ch.bus.used);
-        ch.stats->snapshotTo(sink);
+        ch.stats->group.snapshotTo(sink);
         ch.dimm->snapshotTo(sink);
         if (ch.dcache)
             ch.dcache->snapshotTo(sink);
@@ -655,7 +632,7 @@ Imc::restoreFrom(snapshot::StateSource &src)
         ch.bus.freeAt = src.u64();
         ch.bus.lastWasWrite = src.boolean();
         ch.bus.used = src.boolean();
-        ch.stats->restoreFrom(src);
+        ch.stats->group.restoreFrom(src);
         ch.dimm->restoreFrom(src);
         if (ch.dcache)
             ch.dcache->restoreFrom(src);
@@ -665,16 +642,8 @@ Imc::restoreFrom(snapshot::StateSource &src)
             Addr line = src.u64();
             ch.adrVersions[line] = src.u64();
         }
-        // restoreFrom rebuilt the scalar map: re-resolve the cached
-        // hot-path counters.
-        cacheStatPointers(ch);
     }
     statGroup.restoreFrom(src);
-    sReads = &statGroup.scalar("reads");
-    sWrites = &statGroup.scalar("writes");
-    sFences = &statGroup.scalar("fences");
-    sSfences = &statGroup.scalar("sfences");
-    sWcPartialDrains = &statGroup.scalar("wc_partial_drains");
 }
 
 } // namespace vans::nvram

@@ -112,16 +112,13 @@ class Imc
         return channels[ci].dcache.get();
     }
 
-    StatGroup &stats() { return statGroup; }
+    const StatGroup &stats() const { return statGroup; }
 
     /** Per-channel counters (WPQ merges/stalls, bus turnarounds). */
-    StatGroup &channelStats(unsigned ci)
+    const StatGroup &channelStats(unsigned ci) const
     {
-        return *channels[ci].stats;
+        return channels[ci].stats->group;
     }
-
-    /** Sum of one per-channel scalar over all channels. */
-    std::uint64_t channelScalarSum(const std::string &name) const;
 
     /** WPQ lines currently held in ADR for channel @p ci. */
     std::size_t wpqOccupancy(unsigned ci) const
@@ -173,29 +170,27 @@ class Imc
         bool used = false;
     };
 
+    /** One channel's counters: its own group, listing all four. */
+    struct ChannelStats
+    {
+        explicit ChannelStats(std::string name)
+            : group(std::move(name), StatGroup::Listing::All)
+        {}
+
+        StatGroup group;
+        StatScalar busTurnarounds{group, "bus_turnarounds"};
+        StatScalar wpqMerges{group, "wpq_merges"};
+        StatScalar wpqStalls{group, "wpq_stalls"};
+        StatScalar wpqReadHazards{group, "wpq_read_hazards"};
+    };
+
     struct Channel
     {
         std::unique_ptr<NvramDimm> dimm;
         /** Memory-mode DRAM cache between the channel front-end and
          *  the DIMM (null in App Direct). */
         std::unique_ptr<DramCache> dcache;
-        std::unique_ptr<StatGroup> stats;
-        /** Cached per-channel counters: StatGroup::scalar takes a
-         *  std::string key, which is off the hot path once these are
-         *  resolved. Re-cached after restoreFrom (restore rebuilds
-         *  the scalar map). */
-        // simlint-transient(cached pointer into `stats`, which is
-        // serialized; cacheStatPointers re-resolves after restore)
-        StatScalar *sBusTurnarounds = nullptr;
-        // simlint-transient(cached pointer into `stats`; re-resolved
-        // by cacheStatPointers after restore)
-        StatScalar *sWpqMerges = nullptr;
-        // simlint-transient(cached pointer into `stats`; re-resolved
-        // by cacheStatPointers after restore)
-        StatScalar *sWpqStalls = nullptr;
-        // simlint-transient(cached pointer into `stats`; re-resolved
-        // by cacheStatPointers after restore)
-        StatScalar *sWpqReadHazards = nullptr;
+        std::unique_ptr<ChannelStats> stats;
         /** WPQ membership (<= wpqEntries lines, linear scan beats a
          *  map at that size and never allocates once reserved). */
         // simlint-transient(quiescent() REQUIREs the WPQ empty at
@@ -256,9 +251,6 @@ class Imc
         // attachTracer in the restored world)
         std::uint16_t busTrack = 0; ///< Valid while tracer set.
     };
-
-    /** Resolve the per-channel hot-path stat counters. */
-    void cacheStatPointers(Channel &ch);
 
     /** WPQ membership probe (linear over <= wpqEntries lines). */
     static bool wpqContains(const Channel &ch, Addr line);
@@ -331,21 +323,11 @@ class Imc
     bool persistTracking = false;
 
     StatGroup statGroup;
-    // simlint-transient(cached pointer into statGroup, which is
-    // serialized; re-resolved after restoreFrom)
-    StatScalar *sReads = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // after restoreFrom)
-    StatScalar *sWrites = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // after restoreFrom)
-    StatScalar *sFences = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // after restoreFrom)
-    StatScalar *sSfences = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // after restoreFrom)
-    StatScalar *sWcPartialDrains = nullptr;
+    StatScalar reads{statGroup, "reads"};
+    StatScalar writes{statGroup, "writes"};
+    StatScalar fences{statGroup, "fences"};
+    StatScalar sfences{statGroup, "sfences"};
+    StatScalar wcPartialDrains{statGroup, "wc_partial_drains"};
 
     obs::TraceRecorder *tracer = nullptr;
     // simlint-transient(trace label id, re-interned on attachTracer)

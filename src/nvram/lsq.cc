@@ -52,11 +52,11 @@ Lsq::acceptWrite(Addr addr)
     if (it != groups.end() && !it->second.draining) {
         Group &g = it->second;
         if (g.presentMask & (1u << lane)) {
-            statGroup.scalar("write_merges").inc();
+            writeMerges.inc();
         } else {
             g.presentMask |= (1u << lane);
             ++numEntries;
-            statGroup.scalar("writes").inc();
+            writes.inc();
         }
         g.lastTouch = now;
         if (tracer) [[unlikely]]
@@ -79,7 +79,7 @@ Lsq::acceptWrite(Addr addr)
     g.presentMask |= (1u << lane);
     g.lastTouch = now;
     ++numEntries;
-    statGroup.scalar("writes").inc();
+    writes.inc();
     if (tracer) [[unlikely]]
         tracer->counter(traceTrack, lblOccupancy, now,
                         static_cast<double>(numEntries));
@@ -132,7 +132,7 @@ Lsq::readProbe(Addr addr, DoneCallback hazard_done)
 
     // Read-after-write hazard: force the group out and hold the
     // read until the data reaches the RMW buffer.
-    statGroup.scalar("raw_hazards").inc();
+    rawHazards.inc();
     if (tracer) [[unlikely]]
         tracer->instant(traceTrack, lblHazard, eventq.curTick(),
                         addr);
@@ -159,7 +159,7 @@ Lsq::seal()
 {
     for (auto &kv : groups)
         kv.second.sealed = true;
-    statGroup.scalar("seals").inc();
+    seals.inc();
     scheduleDrainCheck(eventq.curTick());
 }
 
@@ -250,10 +250,10 @@ Lsq::startGroupDrain(Group &g)
     unsigned lines = popcount(g.presentMask);
     std::uint32_t bytes = lines * cacheLineSize;
     if (bytes >= cfg.rmwLineBytes)
-        statGroup.scalar("combined_drains").inc();
+        combinedDrains.inc();
     else
-        statGroup.scalar("partial_drains").inc();
-    statGroup.average("drain_lines").sample(lines);
+        partialDrains.inc();
+    drainLines.sample(lines);
 
     Addr block = g.block;
     auto waiters = std::move(g.hazardWaiters);

@@ -92,7 +92,7 @@ class Lsq
                !drainCheckScheduled;
     }
 
-    StatGroup &stats() { return statGroup; }
+    const StatGroup &stats() const { return statGroup; }
 
     /**
      * Attach tracing: one track showing group-drain spans (block
@@ -181,6 +181,13 @@ class Lsq
     Tick drainCheckAt = 0;
 
     StatGroup statGroup;
+    StatScalar writeMerges{statGroup, "write_merges"};
+    StatScalar writes{statGroup, "writes"};
+    StatScalar rawHazards{statGroup, "raw_hazards"};
+    StatScalar seals{statGroup, "seals"};
+    StatScalar combinedDrains{statGroup, "combined_drains"};
+    StatScalar partialDrains{statGroup, "partial_drains"};
+    StatAverage drainLines{statGroup, "drain_lines"};
 
     obs::TraceRecorder *tracer = nullptr;
     // simlint-transient(trace wiring assigned by attachTracer after

@@ -62,7 +62,7 @@ XPointMedia::kick(unsigned pi)
     Tick start = std::max(eventq.curTick(), p.freeAt);
     Tick finish = start + (op.write ? writeTicks : readTicks);
     p.freeAt = finish;
-    statGroup.average(op.write ? "write_queue_ns" : "read_queue_ns")
+    (op.write ? writeQueueNs : readQueueNs)
         .sample(ticksToNs(start - eventq.curTick()));
     if (tracer) [[unlikely]] {
         tracer->spanAddr(p.traceTrack,
@@ -92,7 +92,7 @@ XPointMedia::enqueue(Addr media_addr, bool write, Priority prio,
 {
     unsigned pi = partitionOf(media_addr);
     Partition &p = partitions[pi];
-    statGroup.scalar(write ? "chunk_writes" : "chunk_reads").inc();
+    (write ? chunkWrites : chunkReads).inc();
     Op op{write, std::move(done), media_addr,
           prio == Priority::Fill};
     switch (prio) {

@@ -75,7 +75,10 @@ class XPointMedia
      *  instead of silently deferred work. */
     std::size_t fillBacklog() const;
 
-    StatGroup &stats() { return statGroup; }
+    /** Chunks written so far. */
+    std::uint64_t chunksWritten() const { return chunkWrites.value(); }
+
+    const StatGroup &stats() const { return statGroup; }
 
     /**
      * Attach tracing: one track per partition, a span per chunk
@@ -150,6 +153,10 @@ class XPointMedia
     // construction)
     std::uint64_t maxQueueDepth = 4;
     StatGroup statGroup;
+    StatScalar chunkReads{statGroup, "chunk_reads"};
+    StatScalar chunkWrites{statGroup, "chunk_writes"};
+    StatAverage readQueueNs{statGroup, "read_queue_ns"};
+    StatAverage writeQueueNs{statGroup, "write_queue_ns"};
 
     obs::TraceRecorder *tracer = nullptr;
     // simlint-transient(trace label id, re-interned on attachTracer)

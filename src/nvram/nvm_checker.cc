@@ -125,7 +125,7 @@ NvmInvariantChecker::audit(VansSystem &sys)
         WearLeveler &wear = ait.wearLeveler();
         WearState w;
         w.migrations = wear.migrations();
-        w.mediaWrites = wear.stats().scalarValue("media_writes");
+        w.mediaWrites = wear.mediaWrites();
         w.active = wear.activeMigrations();
         w.earliestEnd = wear.earliestMigrationEnd();
         auditWear(w, i, now);

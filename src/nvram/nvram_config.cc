@@ -5,25 +5,39 @@
 namespace vans::nvram
 {
 
+namespace
+{
+
+/** fatal(), naming @p key, unless @p v is a power of two >= @p min. */
+void
+requirePow2(const char *key, std::uint64_t v, std::uint64_t min)
+{
+    if (v < min || !isPowerOf2(v))
+        fatal("[nvram] %s must be a power of two >= %llu (got %llu)", key,
+              static_cast<unsigned long long>(min),
+              static_cast<unsigned long long>(v));
+}
+
+/** fatal(), naming @p key, unless @p v is at least 1. */
+void
+requirePositive(const char *key, std::uint64_t v)
+{
+    if (v == 0)
+        fatal("[nvram] %s must be at least 1 (got 0)", key);
+}
+
+} // namespace
+
 void
 NvramConfig::validate() const
 {
-    if (numDimms < 1)
-        fatal("[nvram] num_dimms must be at least 1 (got %u)",
-              numDimms);
-    if (dimmCapacity == 0)
-        fatal("[nvram] dimm_capacity must be positive");
+    requirePositive("num_dimms", numDimms);
+    requirePositive("dimm_capacity", dimmCapacity);
     if (interleaved) {
         // dimmOf routes with a divide + modulo; a zero or
         // non-power-of-two interleave granularity silently skews the
         // channel distribution every figure depends on.
-        if (interleaveBytes < cacheLineSize ||
-            (interleaveBytes & (interleaveBytes - 1)) != 0) {
-            fatal("[nvram] interleave_bytes must be a power of two "
-                  ">= %u (got %llu)",
-                  cacheLineSize,
-                  static_cast<unsigned long long>(interleaveBytes));
-        }
+        requirePow2("interleave_bytes", interleaveBytes, cacheLineSize);
         if (interleaveBytes > dimmCapacity)
             fatal("[nvram] interleave_bytes %llu exceeds "
                   "dimm_capacity %llu",
@@ -33,24 +47,25 @@ NvramConfig::validate() const
     // The sfence partial-drain charge tests wcFill % wcBufferBytes:
     // a buffer smaller than a line (or not a power of two) would
     // charge full-line NT streams at random.
-    if (wcBufferBytes < cacheLineSize ||
-        (wcBufferBytes & (wcBufferBytes - 1)) != 0) {
-        fatal("[nvram] wc_buffer_bytes must be a power of two >= %u "
-              "(got %u)",
-              cacheLineSize, wcBufferBytes);
-    }
-    if (memoryMode()) {
-        // The DRAM cache indexes sets with a mask; a non-power-of-two
-        // capacity (or one below a single line) would fold distinct
-        // lines onto the same set unevenly.
-        if (dcacheCapacity < cacheLineSize ||
-            (dcacheCapacity & (dcacheCapacity - 1)) != 0) {
-            fatal("[nvram] dcache_capacity must be a power of two "
-                  ">= %u (got %llu)",
-                  cacheLineSize,
-                  static_cast<unsigned long long>(dcacheCapacity));
-        }
-    }
+    requirePow2("wc_buffer_bytes", wcBufferBytes, cacheLineSize);
+    // The DRAM cache indexes sets with a mask; a non-power-of-two
+    // capacity (or one below a single line) would fold distinct lines
+    // onto the same set unevenly.
+    if (memoryMode())
+        requirePow2("dcache_capacity", dcacheCapacity, cacheLineSize);
+    // The DIMM stages divide and mask by these sizes: zero is a
+    // SIGFPE, and any other non-power of two misaligns lines silently.
+    requirePow2("rmw_line_bytes", rmwLineBytes, cacheLineSize);
+    requirePow2("ait_line_bytes", aitLineBytes, cacheLineSize);
+    requirePow2("media_chunk_bytes", mediaChunkBytes, cacheLineSize);
+    requirePositive("media_partitions", mediaPartitions);
+    // An empty LSQ or RMW buffer never accepts a write: the run hangs.
+    requirePositive("lsq_entries", lsqEntries);
+    requirePositive("rmw_entries", rmwEntries);
+    requirePositive("wear_threshold", wearThreshold);
+    // A negative hop would schedule the iMC arrival in the past.
+    if (!(coreToImcNs >= 0))
+        fatal("[nvram] core_to_imc_ns must be >= 0 (got %g)", coreToImcNs);
 }
 
 NvramConfig

@@ -140,10 +140,12 @@ struct NvramConfig
     bool trace = false;
 
     /**
-     * Reject malformed topologies (zero DIMMs, non-power-of-two
-     * interleave granularity, interleave wider than a DIMM) via
-     * fatal(). Called by fromConfig() at parse time and by the iMC
-     * at construction.
+     * Reject, via a fatal() that names the key, a configuration no
+     * world can run: zero DIMMs, queues or partitions, a
+     * non-power-of-two size or interleave granularity, an interleave
+     * wider than a DIMM, a zero wear threshold or a negative
+     * core-to-iMC hop. Called by fromConfig() at parse time and by
+     * the iMC at construction.
      */
     void validate() const;
 

@@ -61,7 +61,7 @@ RmwBuffer::makeRoom()
             it->second.state == State::Clean) {
             --cleanCount;
             entries.erase(it);
-            statGroup.scalar("evictions").inc();
+            evictions.inc();
             return true;
         }
         if (it != entries.end())
@@ -80,7 +80,7 @@ RmwBuffer::read(Addr addr, DoneCallback done)
 
     Entry *e = find(line);
     if (e) {
-        statGroup.scalar("read_hits").inc();
+        readHits.inc();
         if (e->state == State::Filling) {
             // Fill already in flight: piggyback on it.
             e->mergeWaiters.push_back(std::move(done));
@@ -94,14 +94,14 @@ RmwBuffer::read(Addr addr, DoneCallback done)
         return;
     }
 
-    statGroup.scalar("read_misses").inc();
+    readMisses.inc();
     if (tracer) [[unlikely]]
         tracer->instant(traceTrack, lblReadMiss, eventq.curTick(),
                         addr);
     if (!makeRoom()) {
         // All entries hold staged writes: serve the read from the
         // AIT without caching rather than stalling it.
-        statGroup.scalar("read_bypass").inc();
+        readBypass.inc();
         eventq.scheduleAfter(access, [this, line,
                                       done = std::move(done)]() mutable {
             ait.read(line, std::move(done));
@@ -161,7 +161,7 @@ RmwBuffer::acceptWrite(Addr addr, std::uint32_t bytes,
 {
     Addr line = lineOf(addr);
     Tick access = nsToTicks(cfg.rmwAccessNs);
-    statGroup.scalar("writes").inc();
+    writes.inc();
 
     // The cached clean count drives both eviction and admission; it
     // must match a recount, and the buffer must hold its 64 x 256B.
@@ -182,7 +182,7 @@ RmwBuffer::acceptWrite(Addr addr, std::uint32_t bytes,
 
     Entry *e = find(line);
     if (e) {
-        statGroup.scalar("write_merges").inc();
+        writeMerges.inc();
         // Staged lines (Dirty / IssuedWait) make the writer wait --
         // canAcceptWrite must have rejected this call.
         VANS_REQUIRE("rmw", eventq.curTick(),
@@ -226,7 +226,7 @@ RmwBuffer::acceptWrite(Addr addr, std::uint32_t bytes,
         enqueueIssue(line);
     } else {
         // Sub-256B write: the eponymous read-modify-write.
-        statGroup.scalar("rmw_fills").inc();
+        rmwFills.inc();
         ne.state = State::Filling;
         ++writeFillsInFlight;
         Tick fill_start = eventq.curTick();

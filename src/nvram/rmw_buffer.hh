@@ -77,7 +77,10 @@ class RmwBuffer
     /** Resident-line count (tests and probers). */
     std::size_t occupancy() const { return entries.size(); }
 
-    StatGroup &stats() { return statGroup; }
+    /** Read-modify-write fills so far (write amplification). */
+    std::uint64_t fills() const { return rmwFills.value(); }
+
+    const StatGroup &stats() const { return statGroup; }
 
     /**
      * Attach tracing: one track showing read-modify-write fill
@@ -165,6 +168,13 @@ class RmwBuffer
     unsigned writeFillsInFlight = 0;
 
     StatGroup statGroup;
+    StatScalar evictions{statGroup, "evictions"};
+    StatScalar readHits{statGroup, "read_hits"};
+    StatScalar readMisses{statGroup, "read_misses"};
+    StatScalar readBypass{statGroup, "read_bypass"};
+    StatScalar writes{statGroup, "writes"};
+    StatScalar writeMerges{statGroup, "write_merges"};
+    StatScalar rmwFills{statGroup, "rmw_fills"};
 
     obs::TraceRecorder *tracer = nullptr;
     // simlint-transient(trace wiring assigned by attachTracer after

@@ -61,12 +61,10 @@ VansSystem::issue(RequestHandle h)
         req.onComplete = [this, inner = std::move(inner)](
                              Request &r) mutable {
             rec->onRetire(r, r.completeTick);
-            const char *dist = isRead(r.op) ? "read_latency_ns"
-                               : isWrite(r.op)
-                                   ? "write_latency_ns"
-                                   : "fence_latency_ns";
-            reqStats.distribution(dist).sample(
-                ticksToNs(r.latency()));
+            StatDistribution &dist = isRead(r.op)    ? readLatency
+                                     : isWrite(r.op) ? writeLatency
+                                                     : fenceLatency;
+            dist.sample(ticksToNs(r.latency()));
             if (inner)
                 inner(r);
         };
@@ -154,10 +152,8 @@ VansSystem::metricsInto(MetricsRegistry &reg)
     }
     reg.add(reqStats);
     // Event-kernel and pool counters are sampled fresh on each export.
-    kernelStats.reset();
     eventq.statsInto(kernelStats);
     reg.add(kernelStats);
-    poolStats.reset();
     reqPool.statsInto(poolStats);
     reg.add(poolStats);
 }
@@ -185,7 +181,7 @@ VansSystem::totalRmwFills()
 {
     std::uint64_t n = 0;
     for (unsigned i = 0; i < imcModel.numDimms(); ++i)
-        n += imcModel.dimm(i).rmw().stats().scalarValue("rmw_fills");
+        n += imcModel.dimm(i).rmw().fills();
     return n;
 }
 
@@ -202,10 +198,8 @@ std::uint64_t
 VansSystem::totalMediaWrites()
 {
     std::uint64_t n = 0;
-    for (unsigned i = 0; i < imcModel.numDimms(); ++i) {
-        n += imcModel.dimm(i).ait().mediaDev().stats().scalarValue(
-            "chunk_writes");
-    }
+    for (unsigned i = 0; i < imcModel.numDimms(); ++i)
+        n += imcModel.dimm(i).ait().mediaDev().chunksWritten();
     return n;
 }
 
@@ -216,17 +210,6 @@ VansSystem::dcacheScalarSum(const std::string &stat)
     for (unsigned i = 0; i < imcModel.numDimms(); ++i) {
         if (DramCache *dc = imcModel.dramCache(i))
             n += dc->stats().scalarValue(stat);
-    }
-    return n;
-}
-
-std::uint64_t
-VansSystem::totalMediaReads()
-{
-    std::uint64_t n = 0;
-    for (unsigned i = 0; i < imcModel.numDimms(); ++i) {
-        n += imcModel.dimm(i).ait().mediaDev().stats().scalarValue(
-            "chunk_reads");
     }
     return n;
 }

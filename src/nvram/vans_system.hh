@@ -54,9 +54,6 @@ class VansSystem : public MemorySystem
     /** Sum of media chunk writes over all DIMMs. */
     std::uint64_t totalMediaWrites();
 
-    /** Sum of media chunk reads over all DIMMs. */
-    std::uint64_t totalMediaReads();
-
     /**
      * Sum of one Memory-mode DRAM-cache scalar ("hits", "misses",
      * "dirty_evicts", "nvm_line_writes", ...) over all channels.
@@ -85,7 +82,7 @@ class VansSystem : public MemorySystem
     void metricsInto(MetricsRegistry &reg) override;
 
     /** Per-request latency distributions (sampled in traced runs). */
-    StatGroup &requestStats() { return reqStats; }
+    const StatGroup &requestStats() const { return reqStats; }
 
     /** Warm-world fork support (common/snapshot.hh). */
     bool snapshotSupported() const override { return true; }
@@ -144,6 +141,9 @@ class VansSystem : public MemorySystem
     // distributions are observability-only by the StatGroup snapshot
     // contract; a fork samples its own fresh latencies)
     StatGroup reqStats;
+    StatDistribution readLatency{reqStats, "read_latency_ns"};
+    StatDistribution writeLatency{reqStats, "write_latency_ns"};
+    StatDistribution fenceLatency{reqStats, "fence_latency_ns"};
     // simlint-transient(derived view: metricsInto rebuilds it from
     // the event queue on every export)
     StatGroup kernelStats;

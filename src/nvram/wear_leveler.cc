@@ -36,7 +36,7 @@ WearLeveler::onMediaWrite(Addr addr)
     Addr block = blockOf(addr);
     std::uint64_t &count = wearCount[block];
     ++count;
-    statGroup.scalar("media_writes").inc();
+    mediaWriteCount.inc();
 
     if (count < cfg.wearThreshold || migrating.count(block))
         return;
@@ -59,7 +59,7 @@ WearLeveler::onMediaWrite(Addr addr)
     Tick end = eventq.curTick() +
                nsToTicks(cfg.migrationUs * 1000.0);
     migrating[block] = end;
-    statGroup.scalar("migrations").inc();
+    migrationCount.inc();
     if (tracer) [[unlikely]] {
         // The migration span covers [now, end]; the flow source sits
         // at its start so downstream stall slices (AIT track) can

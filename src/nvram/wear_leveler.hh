@@ -60,10 +60,13 @@ class WearLeveler
      */
     Tick blockedUntil(Addr addr) const;
 
+    /** Media writes counted toward wear so far. */
+    std::uint64_t mediaWrites() const { return mediaWriteCount.value(); }
+
     /** Total migrations started so far. */
     std::uint64_t migrations() const
     {
-        return statGroup.scalarValue("migrations");
+        return migrationCount.value();
     }
 
     /** Wear count of the block owning @p addr (since last reset). */
@@ -87,7 +90,7 @@ class WearLeveler
     InplaceFunction<void(Addr block_addr, std::uint64_t wear)>
         onMigration;
 
-    StatGroup &stats() { return statGroup; }
+    const StatGroup &stats() const { return statGroup; }
 
     /**
      * Attach tracing: each migration records a span on the wear
@@ -119,6 +122,8 @@ class WearLeveler
     std::unordered_map<Addr, std::uint64_t> wearCount;
     std::unordered_map<Addr, Tick> migrating; ///< block -> end tick.
     StatGroup statGroup;
+    StatScalar mediaWriteCount{statGroup, "media_writes"};
+    StatScalar migrationCount{statGroup, "migrations"};
 
     obs::TraceRecorder *tracer = nullptr;
     // simlint-transient(trace wiring assigned by attachTracer after

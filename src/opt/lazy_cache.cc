@@ -29,7 +29,7 @@ LazyCache::onMigration(Addr block_addr, std::uint64_t wear)
     // migration. The AIT already pays the migration; reusing its
     // record makes this update free (paper section V-C).
     (void)wear;
-    statGroup.scalar("migration_updates").inc();
+    migrationUpdates.inc();
     Addr block = alignDown(block_addr, wearBlockBytes);
     if (hotSet.count(block))
         return;
@@ -73,7 +73,7 @@ LazyCache::absorb(Addr addr)
     if (lz1Set.count(line)) {
         auto it = std::find(lz1.begin(), lz1.end(), line);
         lz1.splice(lz1.begin(), lz1, it);
-        statGroup.scalar("absorbed").inc();
+        absorbedWrites.inc();
         return true;
     }
     // Hit in LZ2: promote back into LZ1.
@@ -86,9 +86,9 @@ LazyCache::absorb(Addr addr)
             // Dirty LZ2 victim: real media write with wear.
             dimm->ait().wearLeveler().onMediaWrite(wb);
             dimm->ait().mediaDev().writeChunk(wb, nullptr);
-            statGroup.scalar("writebacks").inc();
+            writebacks.inc();
         }
-        statGroup.scalar("absorbed").inc();
+        absorbedWrites.inc();
         return true;
     }
 
@@ -100,9 +100,9 @@ LazyCache::absorb(Addr addr)
     if (wb && dimm) {
         dimm->ait().wearLeveler().onMediaWrite(wb);
         dimm->ait().mediaDev().writeChunk(wb, nullptr);
-        statGroup.scalar("writebacks").inc();
+        writebacks.inc();
     }
-    statGroup.scalar("absorbed").inc();
+    absorbedWrites.inc();
     return true;
 }
 

@@ -63,11 +63,11 @@ class LazyCache
     /** Called when a migration of @p block_addr begins. */
     void onMigration(Addr block_addr, std::uint64_t wear);
 
-    StatGroup &stats() { return statGroup; }
+    const StatGroup &stats() const { return statGroup; }
 
     std::uint64_t absorbed() const
     {
-        return statGroup.scalarValue("absorbed");
+        return absorbedWrites.value();
     }
 
   private:
@@ -93,6 +93,9 @@ class LazyCache
     std::uint64_t wearBlockBytes = 64 << 10;
 
     StatGroup statGroup;
+    StatScalar absorbedWrites{statGroup, "absorbed"};
+    StatScalar writebacks{statGroup, "writebacks"};
+    StatScalar migrationUpdates{statGroup, "migration_updates"};
 };
 
 } // namespace vans::opt

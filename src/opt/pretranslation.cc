@@ -26,7 +26,7 @@ PreTranslation::update(Addr addr)
         table.erase(tableFifo.front());
         tableFifo.pop_front();
     }
-    statGroup.scalar("table_updates").inc();
+    tableUpdates.inc();
 }
 
 bool
@@ -40,14 +40,14 @@ PreTranslation::deliver(Addr addr)
     bool present = table.count(page) > 0 || rlbSet.count(page) > 0;
     update(addr);
     if (!present) {
-        statGroup.scalar("misses").inc();
+        misses.inc();
         return false;
     }
 
     // Check-before-read: a stale entry costs the fallback walk
     // (the uncertain bit forces the real translation).
     if (rng.uniform() >= p.validProb) {
-        statGroup.scalar("stale").inc();
+        stale.inc();
         return false;
     }
 
@@ -61,7 +61,7 @@ PreTranslation::deliver(Addr addr)
             rlb.pop_back();
         }
     }
-    statGroup.scalar("deliveries").inc();
+    deliveries.inc();
     return true;
 }
 

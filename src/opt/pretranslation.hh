@@ -67,7 +67,7 @@ class PreTranslation
     /** mkpt update path: learn the translation for @p addr. */
     void update(Addr addr);
 
-    StatGroup &stats() { return statGroup; }
+    const StatGroup &stats() const { return statGroup; }
 
   private:
     std::uint64_t pageOf(Addr addr) const { return addr >> 12; }
@@ -85,6 +85,10 @@ class PreTranslation
     std::unordered_set<std::uint64_t> rlbSet;
 
     StatGroup statGroup;
+    StatScalar tableUpdates{statGroup, "table_updates"};
+    StatScalar misses{statGroup, "misses"};
+    StatScalar stale{statGroup, "stale"};
+    StatScalar deliveries{statGroup, "deliveries"};
 };
 
 } // namespace vans::opt

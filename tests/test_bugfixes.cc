@@ -10,13 +10,17 @@
  *    byte suffix;
  *  - writeTraceFile emitted an address and dependency flag for
  *    Fence lines that readTraceFile never parses, so a trace did
- *    not survive a write -> read -> write round trip.
+ *    not survive a write -> read -> write round trip;
+ *  - NvramConfig::validate accepted sizes, queue depths and a hop
+ *    latency no world can run with: SIGFPEs, hangs and mid-run
+ *    panics instead of a parse-time error naming the key.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -24,8 +28,10 @@
 
 #include "common/config.hh"
 #include "common/curve.hh"
+#include "common/event_queue.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "nvram/vans_system.hh"
 #include "trace/trace.hh"
 #include "workloads/zipfian.hh"
 
@@ -126,6 +132,86 @@ TEST(ParseSize, AcceptsByteSuffixAndKeepsExistingOnes)
     EXPECT_EQ(Config::parseSize("1.5k"), 1536u);
     EXPECT_EQ(Config::parseSize("4G"), 4ull << 30);
     EXPECT_EQ(Config::parseSize("0"), 0u);
+}
+
+// ---- NvramConfig::validate --------------------------------------------
+
+namespace
+{
+
+/** One [nvram] input no world can run, and the same edit in code. */
+struct BadNvramInput
+{
+    const char *key;
+    const char *value;
+    void (*apply)(nvram::NvramConfig &);
+};
+
+const BadNvramInput badNvramInputs[] = {
+    // SIGFPE: the DIMM stages divide by these.
+    {"rmw_line_bytes", "0",
+     [](nvram::NvramConfig &c) { c.rmwLineBytes = 0; }},
+    {"media_partitions", "0",
+     [](nvram::NvramConfig &c) { c.mediaPartitions = 0; }},
+    // Hang: an empty queue never accepts a write.
+    {"lsq_entries", "0", [](nvram::NvramConfig &c) { c.lsqEntries = 0; }},
+    {"rmw_entries", "0", [](nvram::NvramConfig &c) { c.rmwEntries = 0; }},
+    // Panic mid-run in the wear leveler.
+    {"wear_threshold", "0",
+     [](nvram::NvramConfig &c) { c.wearThreshold = 0; }},
+    // Panic in the event queue: the arrival lands in the past.
+    {"core_to_imc_ns", "-5",
+     [](nvram::NvramConfig &c) { c.coreToImcNs = -5; }},
+    // Silently misaligned lines.
+    {"ait_line_bytes", "100",
+     [](nvram::NvramConfig &c) { c.aitLineBytes = 100; }},
+    {"media_chunk_bytes", "96",
+     [](nvram::NvramConfig &c) { c.mediaChunkBytes = 96; }},
+};
+
+class NvramConfigDeathTest
+    : public ::testing::TestWithParam<BadNvramInput>
+{};
+
+} // namespace
+
+TEST_P(NvramConfigDeathTest, RejectedAtParseAndAtImcNamingTheKey)
+{
+    setQuiet(true);
+    const BadNvramInput &in = GetParam();
+    std::string must = std::string(in.key) + " must";
+    Config raw = Config::fromString(std::string("[nvram]\n") + in.key +
+                                    " = " + in.value + "\n");
+    EXPECT_DEATH(nvram::NvramConfig::fromConfig(raw), must);
+    nvram::NvramConfig cfg = nvram::NvramConfig::optaneDefault();
+    in.apply(cfg);
+    EXPECT_DEATH(
+        {
+            EventQueue eq;
+            nvram::VansSystem sys(eq, cfg);
+        },
+        must);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BadInputs, NvramConfigDeathTest, ::testing::ValuesIn(badNvramInputs),
+    [](const ::testing::TestParamInfo<BadNvramInput> &info) {
+        return std::string(info.param.key);
+    });
+
+TEST(NvramConfig, EveryShippedConfigParses)
+{
+    unsigned parsed = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             std::string(VANS_SOURCE_DIR) + "/configs")) {
+        if (entry.path().extension() != ".cfg")
+            continue;
+        SCOPED_TRACE(entry.path().string());
+        Config raw = Config::fromFile(entry.path().string());
+        nvram::NvramConfig::fromConfig(raw).validate();
+        ++parsed;
+    }
+    EXPECT_GE(parsed, 4u);
 }
 
 // ---- Trace file round trip ------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "common/ascii_chart.hh"
@@ -13,7 +14,9 @@
 #include "common/curve.hh"
 #include "common/event_queue.hh"
 #include "common/inplace_function.hh"
+#include "common/metrics.hh"
 #include "common/rng.hh"
+#include "common/snapshot.hh"
 #include "common/stats.hh"
 #include "nvram/nvram_config.hh"
 #include "workloads/zipfian.hh"
@@ -371,29 +374,209 @@ TEST(Curve, FormatSize)
 TEST(Stats, ScalarAndAverage)
 {
     StatGroup g("test");
-    g.scalar("count").inc();
-    g.scalar("count").inc(4);
+    StatScalar count{g, "count"};
+    StatAverage lat{g, "lat"};
+    count.inc();
+    count.inc(4);
     EXPECT_EQ(g.scalarValue("count"), 5u);
-    g.average("lat").sample(10);
-    g.average("lat").sample(20);
-    EXPECT_DOUBLE_EQ(g.average("lat").mean(), 15.0);
-    EXPECT_DOUBLE_EQ(g.average("lat").min(), 10.0);
-    EXPECT_DOUBLE_EQ(g.average("lat").max(), 20.0);
+    lat.sample(10);
+    lat.sample(20);
+    EXPECT_DOUBLE_EQ(lat.mean(), 15.0);
+    EXPECT_DOUBLE_EQ(lat.min(), 10.0);
+    EXPECT_DOUBLE_EQ(lat.max(), 20.0);
     EXPECT_NE(g.dump().find("test.count = 5"), std::string::npos);
-    g.reset();
-    EXPECT_EQ(g.scalarValue("count"), 0u);
+    EXPECT_NE(g.dump().find("test.lat = 15 (n=2, min=10, max=20)"),
+              std::string::npos);
+    EXPECT_EQ(g.scalarValue("never_registered"), 0u);
 }
 
 TEST(Stats, DistributionPercentiles)
 {
-    StatDistribution d;
+    StatGroup g("test");
+    StatDistribution d{g, "d"};
     for (int i = 1; i <= 100; ++i)
         d.sample(i);
     EXPECT_NEAR(d.percentile(0.5), 50.5, 1.0);
     EXPECT_NEAR(d.percentile(0.99), 99, 1.5);
     EXPECT_DOUBLE_EQ(d.min(), 1);
     EXPECT_DOUBLE_EQ(d.max(), 100);
-    EXPECT_NEAR(d.fractionAbove(90), 0.10, 0.001);
+}
+
+namespace
+{
+
+/** A component-shaped stat owner: one group, typed members. */
+struct Counters
+{
+    explicit Counters(StatGroup::Listing listing = StatGroup::Listing::Used)
+        : group("unit", listing)
+    {}
+
+    StatGroup group;
+    StatScalar hits{group, "hits"};
+    StatScalar misses{group, "misses"};
+    StatAverage queueNs{group, "queue_ns"};
+    StatDistribution latNs{group, "lat_ns"};
+};
+
+std::string
+jsonOf(const StatGroup &g)
+{
+    MetricsRegistry reg;
+    reg.add(g);
+    return reg.toJson();
+}
+
+std::vector<std::uint8_t>
+streamOf(const StatGroup &g)
+{
+    snapshot::StateSink sink;
+    g.snapshotTo(sink);
+    return sink.take();
+}
+
+} // namespace
+
+TEST(Stats, BumpAfterRestoreShowsInJson)
+{
+    Counters warm;
+    warm.hits.inc(3);
+    std::vector<std::uint8_t> bytes = streamOf(warm.group);
+
+    Counters fork;
+    fork.misses.inc(9); // Overwritten: misses is not in the stream.
+    snapshot::StateSource src(bytes);
+    fork.group.restoreFrom(src);
+    EXPECT_TRUE(src.exhausted());
+    EXPECT_TRUE(fork.group.identicalTo(warm.group));
+    EXPECT_EQ(fork.misses.value(), 0u);
+
+    // The members themselves took the values: bumps after the restore
+    // land in the group without re-resolving anything.
+    fork.hits.inc();
+    fork.misses.inc();
+    std::string json = jsonOf(fork.group);
+    EXPECT_NE(json.find("\"hits\": 4"), std::string::npos) << json;
+    EXPECT_NE(json.find("\"misses\": 1"), std::string::npos) << json;
+}
+
+TEST(Stats, ListingAllShowsZerosListingUsedHidesThem)
+{
+    Counters all(StatGroup::Listing::All);
+    std::string json = jsonOf(all.group);
+    EXPECT_NE(json.find("\"hits\": 0"), std::string::npos) << json;
+    EXPECT_NE(json.find("\"queue_ns\": {\"mean\": null"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"lat_ns\": {\"mean\": null"),
+              std::string::npos)
+        << json;
+
+    Counters used;
+    EXPECT_EQ(jsonOf(used.group).find("hits"), std::string::npos);
+    EXPECT_EQ(used.group.dump(), "");
+    used.hits.inc();
+    used.queueNs.sample(2);
+    used.latNs.sample(5);
+    json = jsonOf(used.group);
+    EXPECT_NE(json.find("\"hits\": 1"), std::string::npos) << json;
+    EXPECT_NE(json.find("\"queue_ns\": {\"mean\": 2"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"lat_ns\": {\"mean\": 5"), std::string::npos)
+        << json;
+    EXPECT_EQ(json.find("misses"), std::string::npos) << json;
+
+    // A scalar an export-time writer sets by name is listed at once.
+    used.group.scalar("exported").set(0);
+    EXPECT_NE(jsonOf(used.group).find("\"exported\": 0"),
+              std::string::npos);
+}
+
+TEST(Stats, JsonDumpAndStreamListTheSameKeys)
+{
+    for (auto listing : {StatGroup::Listing::Used, StatGroup::Listing::All}) {
+        Counters c(listing);
+        c.misses.inc(2);
+        c.queueNs.sample(1.5);
+
+        std::vector<std::string> listed;
+        for (const StatScalar *s : c.group.allScalars())
+            listed.push_back(s->name());
+        for (const StatAverage *a : c.group.allAverages())
+            listed.push_back(a->name());
+        std::vector<std::string> want =
+            listing == StatGroup::Listing::All
+                ? std::vector<std::string>{"hits", "misses", "queue_ns"}
+                : std::vector<std::string>{"misses", "queue_ns"};
+        EXPECT_EQ(listed, want);
+
+        // The snapshot stream: scalars then averages, by name.
+        std::vector<std::uint8_t> bytes = streamOf(c.group);
+        snapshot::StateSource src(bytes);
+        src.tag("stats");
+        EXPECT_EQ(src.str(), "unit");
+        std::vector<std::string> streamed;
+        for (std::uint64_t n = src.u64(); n > 0; --n) {
+            streamed.push_back(src.str());
+            src.u64();
+        }
+        for (std::uint64_t n = src.u64(); n > 0; --n) {
+            streamed.push_back(src.str());
+            src.f64();
+            src.u64();
+            src.f64();
+            src.f64();
+        }
+        EXPECT_TRUE(src.exhausted());
+        EXPECT_EQ(streamed, want);
+
+        std::string json = jsonOf(c.group);
+        std::string dump = c.group.dump();
+        for (const char *key : {"hits", "misses", "queue_ns", "lat_ns"}) {
+            bool expect = std::find(want.begin(), want.end(), key) !=
+                              want.end() ||
+                          (listing == StatGroup::Listing::All &&
+                           std::string(key) == "lat_ns");
+            EXPECT_EQ(json.find(std::string("\"") + key + "\"") !=
+                          std::string::npos,
+                      expect)
+                << key << "\n" << json;
+            EXPECT_EQ(dump.find(std::string("unit.") + key + " ") !=
+                          std::string::npos,
+                      expect)
+                << key << "\n" << dump;
+        }
+    }
+}
+
+TEST(StatsDeathTest, RestoringAnUnregisteredKeyFails)
+{
+    StatGroup wide("unit");
+    StatScalar hits{wide, "hits"};
+    StatScalar extra{wide, "extra"};
+    hits.inc();
+    extra.inc();
+    std::vector<std::uint8_t> bytes = streamOf(wide);
+
+    EXPECT_DEATH(
+        {
+            Counters narrow;
+            snapshot::StateSource src(bytes);
+            narrow.group.restoreFrom(src);
+        },
+        "stat group \"unit\" has no stat \"extra\" to restore");
+}
+
+TEST(StatsDeathTest, RegisteringANameTwiceFails)
+{
+    EXPECT_DEATH(
+        {
+            StatGroup g("unit");
+            StatScalar a(g, "hits");
+            StatScalar b(g, "hits");
+        },
+        "stat group \"unit\" registers \"hits\" twice");
 }
 
 TEST(Rng, DeterministicForSeed)

@@ -12,7 +12,12 @@
  *    event-kernel groups (those count the simulator's own events,
  *    not the model's behaviour);
  *  - two short CpuCore runs over the Table V cache hierarchy: their
- *    CoreStats plus the world's and the caches' metrics.
+ *    CoreStats plus the world's and the caches' metrics;
+ *  - four worlds that drive every counter the worlds above leave at
+ *    zero (persistence, hazards, RMW bypass, AIT evictions, wear,
+ *    the Memory Mode write-back and flush paths, LLC writebacks, the
+ *    lazy cache and Pre-translation), two of them also hashing their
+ *    snapshot stream and dump() text.
  *
  * A deliberate model change re-records the constants and says why.
  * The hash is 64-bit FNV-1a.
@@ -30,14 +35,18 @@
 #include "baselines/dram_system.hh"
 #include "cache/hierarchy.hh"
 #include "common/event_queue.hh"
+#include "common/check.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/rng.hh"
+#include "common/snapshot.hh"
 #include "cpu/core.hh"
 #include "dram/controller.hh"
 #include "lens/driver.hh"
 #include "lens/microbench.hh"
 #include "nvram/vans_system.hh"
+#include "opt/lazy_cache.hh"
+#include "opt/pretranslation.hh"
 #include "trace/trace.hh"
 #include "workloads/cloud.hh"
 #include "workloads/spec_synth.hh"
@@ -295,6 +304,61 @@ coreRunDigest(MemorySystem &mem, std::vector<trace::TraceInst> insts,
     return f.value();
 }
 
+/**
+ * Issue an NT store and @p readers NT loads of the same line in one
+ * tick, and wait for all of them: the loads reach the iMC while the
+ * store still holds the line in the WPQ.
+ */
+void
+writeThenReadSameTick(MemorySystem &sys, Addr line, unsigned readers)
+{
+    unsigned completed = 0;
+    RequestPool &pool = sys.pool();
+    auto issue = [&](MemOp op) {
+        RequestHandle h = sys.makeRequest(line, op);
+        sys.request(h).onComplete = [&completed, &pool, h](Request &) {
+            ++completed;
+            pool.release(h);
+        };
+        sys.issue(h);
+    };
+    issue(MemOp::WriteNT);
+    for (unsigned i = 0; i < readers; ++i)
+        issue(MemOp::ReadNT);
+    while (completed < readers + 1 && sys.eventQueue().step()) {
+    }
+    EXPECT_EQ(completed, readers + 1);
+}
+
+/**
+ * The quiescent @p sys's snapshot stream plus the dump() text of
+ * every group it exports: the other two renderings of its counters.
+ * Verified worlds also serialize their DDR4 protocol checkers, so the
+ * stream depends on VANS_VERIFY.
+ */
+std::uint64_t
+stateDigest(MemorySystem &sys)
+{
+    Fnv1a f;
+    snapshot::StateSink sink;
+    sys.snapshotTo(sink);
+    f.bytes(sink.data().data(), sink.data().size());
+    MetricsRegistry reg;
+    sys.metricsInto(reg);
+    for (const StatGroup *g : reg.all()) {
+        std::string text = g->dump();
+        f.bytes(text.data(), text.size());
+    }
+    return f.value();
+}
+
+/** Scalar @p name of @p g, which the world must have counted. */
+void
+expectCounted(const StatGroup &g, const char *name)
+{
+    EXPECT_GT(g.scalarValue(name), 0u) << g.name() << "." << name;
+}
+
 } // namespace
 
 // ---- (a) DDR4 command streams ---------------------------------------
@@ -416,7 +480,7 @@ TEST(GoldenDigest, Ddr4MainMemoryRandomRead)
     drv.streamReads(addrs, 10);
     drv.drain();
     MetricsRegistry reg;
-    reg.add(mem.controller().statsConst());
+    reg.add(mem.controller().stats());
     reg.add(mem.stats());
     EXPECT_EQ(hex(metricsDigest(reg)), hex(0xf64300a65752f5ccull));
 }
@@ -436,7 +500,7 @@ TEST(GoldenDigest, SpecTraceOnDdr4)
     w.footprintBytes = 3 << 20;
     auto insts = workloads::generateSpecTrace(w, 40000, 32ull << 20, 3);
     EXPECT_EQ(hex(coreRunDigest(mem, std::move(insts),
-                                {&mem.controller().statsConst(),
+                                {&mem.controller().stats(),
                                  &mem.stats()})),
               hex(0x0e281501fa933013ull));
 }
@@ -451,4 +515,195 @@ TEST(GoldenDigest, RedisTraceOnVans)
     cp.seed = 5;
     EXPECT_EQ(hex(coreRunDigest(sys, workloads::redisTrace(cp))),
               hex(0xefe449d67784022cull));
+}
+
+// ---- (d) Counters no other world reaches -----------------------------
+//
+// Each world below drives counters that the worlds above leave at
+// zero, and asserts it did, so a refactor of the stats layer is
+// checked on every counter it owns.
+
+TEST(GoldenDigest, AppDirectHazardsBypassAndWear)
+{
+    setQuiet(true);
+    nvram::NvramConfig cfg = nvram::NvramConfig::optaneDefault();
+    cfg.rmwEntries = 4;     // Staged writes fill the RMW buffer.
+    cfg.aitBufEntries = 16; // The AIT buffer evicts from page 17 on.
+    cfg.wearThreshold = 96; // Migrations within a short run.
+    cfg.migrationUs = 5;
+    EventQueue eq;
+    nvram::VansSystem sys(eq, cfg);
+    lens::Driver drv(sys);
+
+    // An sfence after one 64B NT store cuts a partial WC buffer.
+    drv.write(0);
+    drv.sfence();
+    // Loads of a line its store still holds in the WPQ.
+    writeThenReadSameTick(sys, 1 << 20, 3);
+    // A load of a line the LSQ still holds.
+    drv.write(2 << 20);
+    drv.idle(nsToTicks(150));
+    drv.read(2 << 20);
+    // A burst of stores to distinct RMW lines, then loads of others:
+    // every RMW entry holds a staged write, so the loads bypass it.
+    std::vector<Addr> lines;
+    for (unsigned i = 0; i < 32; ++i)
+        lines.push_back((3 << 20) + static_cast<Addr>(i) * 256);
+    drv.streamWrites(lines, 16);
+    for (unsigned i = 0; i < 8; ++i)
+        drv.read((4 << 20) + static_cast<Addr>(i) * 256);
+    // Loads over 48 pages: the 16-page AIT buffer evicts.
+    std::vector<Addr> pages;
+    for (unsigned i = 0; i < 48; ++i)
+        pages.push_back((8 << 20) + static_cast<Addr>(i) * 4096);
+    drv.streamReads(pages, 4);
+    // Overwrites of one 256B line: the block migrates, and the
+    // stores that land during a migration stall.
+    lens::overwrite(drv, 16 << 20, 256, 200);
+    drv.fence();
+    drv.drain();
+
+    nvram::NvramDimm &d = sys.dimm(0);
+    expectCounted(sys.imc().stats(), "sfences");
+    expectCounted(sys.imc().stats(), "wc_partial_drains");
+    expectCounted(sys.imc().channelStats(0), "wpq_read_hazards");
+    expectCounted(d.lsq().stats(), "raw_hazards");
+    expectCounted(d.rmw().stats(), "read_bypass");
+    expectCounted(d.ait().stats(), "buf_evictions");
+    expectCounted(d.ait().stats(), "migration_stalls");
+    expectCounted(d.ait().wearLeveler().stats(), "migrations");
+    EXPECT_EQ(hex(worldDigest(sys)), hex(0xd6dcabb8284f6b89ull));
+    EXPECT_EQ(hex(stateDigest(sys)),
+              hex(verify::envEnabled() ? 0x9af3df83f33488dbull
+                                       : 0x33c0d28f0af5f4bcull));
+}
+
+TEST(GoldenDigest, MemoryModeWriteBackAndFlush)
+{
+    setQuiet(true);
+    nvram::NvramConfig cfg = nvram::NvramConfig::optaneDefault();
+    cfg.mode = nvram::SystemMode::Memory;
+    cfg.dcacheCapacity = 64 << 10;
+    EventQueue eq;
+    nvram::VansSystem sys(eq, cfg);
+    lens::Driver drv(sys);
+
+    // Plain stores allocate write-back: first misses, then hits.
+    std::vector<Addr> lines;
+    for (unsigned i = 0; i < 64; ++i)
+        lines.push_back(static_cast<Addr>(i) * 64);
+    drv.streamOps(lines, MemOp::Write, 8, nsToTicks(6));
+    drv.streamOps(lines, MemOp::Write, 8, nsToTicks(6));
+    // Loads of conflicting lines one cache capacity up evict the
+    // dirty residents; two loads of each line in flight at once
+    // share one fetch.
+    std::vector<Addr> conflicts;
+    for (unsigned i = 0; i < 32; ++i) {
+        Addr a = (64 << 10) + static_cast<Addr>(i) * 64;
+        conflicts.push_back(a);
+        conflicts.push_back(a);
+    }
+    drv.streamReads(conflicts, 8);
+    // clflushopt of a cached line drops it.
+    drv.read(1 << 20);
+    drv.clflushopt(1 << 20);
+    drv.fence();
+    drv.drain();
+
+    const StatGroup &dc = sys.imc().dramCache(0)->stats();
+    for (const char *name : {"mshr_merges", "dirty_evicts", "invalidates",
+                             "wb_write_hits", "wb_write_misses"})
+        expectCounted(dc, name);
+    EXPECT_EQ(hex(worldDigest(sys)), hex(0x0d255343d0b04078ull));
+    EXPECT_EQ(hex(stateDigest(sys)),
+              hex(verify::envEnabled() ? 0x64383fb05995a15eull
+                                       : 0x164aae6c12e6689aull));
+}
+
+TEST(GoldenDigest, CoreWritebacksOnDdr4)
+{
+    setQuiet(true);
+    EventQueue eq;
+    baselines::DramMainMemory mem(
+        eq, baselines::DramMainMemory::ddr4Params());
+    // A 256 KB LLC under a 3 MB footprint: dirty lines leave it.
+    cache::HierarchyParams hp;
+    hp.l2.sizeBytes = 128 << 10;
+    hp.l3.sizeBytes = 256 << 10;
+    cache::Hierarchy caches(hp);
+    cpu::CpuCore core(mem, caches);
+    workloads::SpecWorkload w = workloads::specWorkload("lbm", "2006");
+    w.footprintBytes = 3 << 20;
+    trace::VectorTraceSource src(
+        workloads::generateSpecTrace(w, 30000, 32ull << 20, 7));
+    cpu::CoreStats st = core.run(src, 1u << 30);
+    mem.drain();
+
+    expectCounted(caches.llc().stats(), "writebacks");
+    expectCounted(mem.stats(), "writes");
+    MetricsRegistry reg;
+    reg.add(mem.controller().stats());
+    reg.add(mem.stats());
+    reg.add(caches.l1().stats());
+    reg.add(caches.l2().stats());
+    reg.add(caches.llc().stats());
+    reg.add(caches.tlb().stats());
+    Fnv1a f;
+    f.u64(st.elapsed);
+    f.u64(st.instructions);
+    f.u64(metricsDigest(reg));
+    EXPECT_EQ(hex(f.value()), hex(0x63942eee741c49d0ull));
+}
+
+TEST(GoldenDigest, LazyCacheAndPreTranslationOnVans)
+{
+    setQuiet(true);
+    nvram::NvramConfig cfg = nvram::NvramConfig::optaneDefault();
+    cfg.wearThreshold = 200;
+    EventQueue eq;
+    nvram::VansSystem sys(eq, cfg);
+    opt::LazyCacheParams lp;
+    lp.lz1Bytes = 512; // Small enough to write back.
+    lp.lz2Bytes = 512;
+    opt::LazyCache lazy(lp);
+    lazy.attach(sys.dimm(0));
+    {
+        // Overwrites migrate a block; later stores to it are absorbed.
+        lens::Driver drv(sys);
+        lens::overwrite(drv, 0, 256, 400);
+        for (unsigned i = 0; i < 8; ++i)
+            lens::overwrite(drv, static_cast<Addr>(i) * 256, 256, 4);
+        drv.fence();
+    }
+    cache::Hierarchy caches;
+    cpu::CpuCore core(sys, caches);
+    opt::PreTranslation pt;
+    pt.attach(core);
+    workloads::CloudParams p;
+    // 2048 nodes, more than the STLB holds, traversed 1.3 times: the
+    // second pass misses the TLB and takes delivered translations.
+    p.operations = 2600;
+    p.footprintBytes = 8 << 20;
+    p.preTranslationHints = true;
+    trace::VectorTraceSource src(workloads::linkedListTrace(p));
+    cpu::CoreStats st = core.run(src, 1u << 30);
+    sys.drain();
+
+    expectCounted(sys.dimm(0).ait().stats(), "lazy_absorbed");
+    expectCounted(caches.tlb().stats(), "pretranslation_installs");
+    for (const char *name : {"migration_updates", "absorbed", "writebacks"})
+        expectCounted(lazy.stats(), name);
+    for (const char *name :
+         {"table_updates", "misses", "stale", "deliveries"})
+        expectCounted(pt.stats(), name);
+    MetricsRegistry reg;
+    sys.metricsInto(reg);
+    reg.add(lazy.stats());
+    reg.add(pt.stats());
+    reg.add(caches.tlb().stats());
+    Fnv1a f;
+    f.u64(st.elapsed);
+    f.u64(st.instructions);
+    f.u64(metricsDigest(reg));
+    EXPECT_EQ(hex(f.value()), hex(0xf9b3596ecab86b2full));
 }

@@ -219,7 +219,7 @@ TEST(MemoryMode, DirectedAccountingMatchesReferenceModel)
     }
     f.drv.drain();
 
-    StatGroup &st = dc->stats();
+    const StatGroup &st = dc->stats();
     EXPECT_EQ(st.scalarValue("hits"), refHits);
     EXPECT_EQ(st.scalarValue("misses"), refMisses);
     EXPECT_EQ(st.scalarValue("dirty_evicts"), refDirtyEvicts);
@@ -270,7 +270,7 @@ TEST(MemoryMode, PersistOpsWriteThroughToTheDimm)
     f.drv.fence(); // Must drain the write-throughs to media.
     f.drv.drain();
 
-    StatGroup &st = dc->stats();
+    const StatGroup &st = dc->stats();
     EXPECT_EQ(st.scalarValue("writethroughs"), 3u);
     EXPECT_EQ(st.scalarValue("invalidates"), 0u);
     EXPECT_GE(f.sys.totalMediaWrites(), 1u);

@@ -345,7 +345,7 @@ TEST(Lsq, ReadAfterWriteHazardDetected)
     EXPECT_GT(raw_lat, warm);
     auto hazards =
         f.sys.dimm(0).lsq().stats().scalarValue("raw_hazards") +
-        f.sys.imc().channelScalarSum("wpq_read_hazards");
+        f.sys.imc().channelStats(0).scalarValue("wpq_read_hazards");
     EXPECT_GE(hazards, 1u);
 }
 
@@ -358,7 +358,7 @@ TEST(Imc, WpqMergeIsFast)
     // merge in place.
     std::vector<Addr> addrs(32, 0);
     f.drv.streamWrites(addrs, 16);
-    EXPECT_GE(f.sys.imc().channelScalarSum("wpq_merges"), 1u);
+    EXPECT_GE(f.sys.imc().channelStats(0).scalarValue("wpq_merges"), 1u);
 }
 
 TEST(Imc, FenceWaitsForFullDrain)
@@ -437,7 +437,7 @@ TEST(Imc, WpqHazardBurstReleasedByOneDrain)
         ASSERT_EQ(completed, want);
     }
     EXPECT_EQ(completed, 2 * (kReaders + 1));
-    EXPECT_EQ(imc.channelScalarSum("wpq_read_hazards"),
+    EXPECT_EQ(imc.channelStats(0).scalarValue("wpq_read_hazards"),
               2 * kReaders);
     // A fence drains the write path; after idling out background
     // fills, nothing may be left parked on a hazard.
@@ -453,7 +453,8 @@ TEST(Imc, BusTurnaroundsCounted)
     f.drv.read(4096);
     f.drv.write(8192);
     f.drv.fence();
-    EXPECT_GE(f.sys.imc().channelScalarSum("bus_turnarounds"), 1u);
+    EXPECT_GE(
+        f.sys.imc().channelStats(0).scalarValue("bus_turnarounds"), 1u);
 }
 
 // ---- System-level latency ordering -----------------------------------

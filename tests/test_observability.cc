@@ -245,11 +245,14 @@ TEST(Tracing, ExportedTimestampsAreMicrosecondTicks)
 TEST(Metrics, JsonCarriesExactStatGroupValues)
 {
     StatGroup g("unit.group");
-    g.scalar("reads").inc(7);
-    g.scalar("writes").inc(3);
-    g.average("queue_depth").sample(2.0);
-    g.average("queue_depth").sample(4.0);
-    auto &d = g.distribution("lat_ns");
+    StatScalar reads{g, "reads"};
+    StatScalar writes{g, "writes"};
+    StatAverage queueDepth{g, "queue_depth"};
+    StatDistribution d{g, "lat_ns"};
+    reads.inc(7);
+    writes.inc(3);
+    queueDepth.sample(2.0);
+    queueDepth.sample(4.0);
     for (int i = 1; i <= 100; ++i)
         d.sample(static_cast<double>(i));
 
@@ -448,11 +451,11 @@ strictJsonParse(const std::string &text)
 // document must still satisfy a strict JSON parser.
 TEST(Metrics, EmptyStatsSerializeAsNullAndRoundTrip)
 {
-    StatGroup g("cold.group");
-    g.scalar("touched").inc(0);
-    g.average("empty_avg");       // Registered, never sampled.
-    g.distribution("empty_dist"); // Registered, never sampled.
-    auto &one = g.distribution("one_sample");
+    StatGroup g("cold.group", StatGroup::Listing::All);
+    StatScalar touched{g, "touched"};
+    StatAverage emptyAvg{g, "empty_avg"};       // Never sampled.
+    StatDistribution emptyDist{g, "empty_dist"}; // Never sampled.
+    StatDistribution one{g, "one_sample"};
     one.sample(42.5);
 
     MetricsRegistry reg;
@@ -492,7 +495,8 @@ TEST(Metrics, WhollyEmptyRegistryRoundTrips)
     // A NaN that reaches a sample stream (a ratio of two zero
     // counters, say) must not leak a bare nan token into the JSON.
     StatGroup g("poisoned.group");
-    g.average("ratio").sample(std::nan(""));
+    StatAverage ratio{g, "ratio"};
+    ratio.sample(std::nan(""));
     reg.add(g);
     std::string json = reg.toJson();
     EXPECT_TRUE(strictJsonParse(json)) << json;
@@ -522,18 +526,18 @@ TEST(Metrics, SystemRegistersEveryComponentGroup)
     // The registry reports the same object the component owns: a
     // scalar read through the registry equals the group's own value.
     for (const StatGroup *g : reg.all()) {
-        for (const auto &kv : g->allScalars())
-            EXPECT_EQ(kv.second.value(),
-                      g->scalarValue(kv.first))
-                << g->name() << "." << kv.first;
+        for (const StatScalar *s : g->allScalars())
+            EXPECT_EQ(s->value(), g->scalarValue(s->name()))
+                << g->name() << "." << s->name();
     }
 
     // The traced run sampled per-op latency distributions.
     const auto &dists = f.sys.requestStats().allDistributions();
     ASSERT_TRUE(dists.count("read_latency_ns"));
     ASSERT_TRUE(dists.count("write_latency_ns"));
-    EXPECT_GT(dists.at("read_latency_ns").count(), 0u);
-    EXPECT_GT(dists.at("read_latency_ns").mean(), 0.0);
+    const StatDistribution *reads = dists.find("read_latency_ns");
+    EXPECT_GT(reads->count(), 0u);
+    EXPECT_GT(reads->mean(), 0.0);
 
     std::string json = reg.toJson();
     EXPECT_TRUE(jsonBalanced(json));

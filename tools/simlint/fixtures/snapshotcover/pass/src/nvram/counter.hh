@@ -15,6 +15,7 @@ class Counter
             sink.u64(tags[i]);
             sink.boolean(dirtyBits[i]);
         }
+        statGroup.snapshotTo(sink);
     }
 
     void restoreFrom(snapshot::StateSource &src)
@@ -25,7 +26,10 @@ class Counter
             tags[i] = src.u64();
             dirtyBits[i] = src.boolean();
         }
+        statGroup.restoreFrom(src);
     }
+
+    StatGroup &stats() { return statGroup; }
 
   private:
     // The architectural cache image: tag store plus the dirty bits
@@ -34,6 +38,12 @@ class Counter
     // exactly the writebacks the prototype owed.
     std::vector<unsigned long long> tags;
     std::vector<bool> dirtyBits;
+
+    // The counters ride in their group: serializing the group
+    // restores each registered counter in place.
+    StatGroup statGroup{"counter"};
+    StatScalar fills{statGroup, "fills"};
+    StatScalar writebacks{statGroup, "writebacks"};
 
     // MSHR bookkeeping cannot outlive quiescence (the snapshot
     // precondition drains every in-flight fill), so it is transient

@@ -8,19 +8,23 @@ namespace vans::dram
 class Tally
 {
   public:
-    void statsInto(StatGroup &stats) const
+    void
+    onAccess(bool hit)
     {
-        stats.scalar("fills").set(fills.value());
-        stats.scalar("dirty_evicts").set(dirtyEvicts.value());
+        (hit ? hits : misses).inc();
+        hitRatio.sample(hit ? 1.0 : 0.0);
     }
 
   private:
-    StatScalar fills;
-    StatScalar dirtyEvicts;
-    // The hit-ratio average never reaches a StatGroup: the one
-    // number a capacity-planning run needs from a DRAM cache is
-    // sampled on every access and then reported nowhere.
-    StatAverage hitRatio;
+    // The group is neither exported nor serialized: no accessor or
+    // metricsInto reaches it, so the hit ratio that sizes the
+    // near-memory tier is counted on every access and then reported
+    // nowhere. The counters themselves are registered in the group,
+    // so the one finding is on the group.
+    StatGroup statGroup{"tally"};
+    StatScalar hits{statGroup, "hits"};
+    StatScalar misses{statGroup, "misses"};
+    StatAverage hitRatio{statGroup, "hit_ratio"};
 };
 
 } // namespace vans::dram

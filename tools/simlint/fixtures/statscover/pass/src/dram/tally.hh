@@ -8,20 +8,21 @@ namespace vans::dram
 class Tally
 {
   public:
-    void statsInto(StatGroup &stats) const
+    void
+    onAccess(bool hit)
     {
-        stats.scalar("fills").set(fills.value());
-        stats.scalar("dirty_evicts").set(dirtyEvicts.value());
-        stats.average("hit_ratio").merge(hitRatio);
+        (hit ? hits : misses).inc();
+        hitRatio.sample(hit ? 1.0 : 0.0);
     }
 
+    /** The metrics walk reaches every counter through the group. */
+    StatGroup &stats() { return statGroup; }
+
   private:
-    // The counters every cache front-end must report: fill and
-    // victim-writeback traffic plus the hit ratio that sizes the
-    // near-memory tier.
-    StatScalar fills;
-    StatScalar dirtyEvicts;
-    StatAverage hitRatio;
+    StatGroup statGroup{"tally"};
+    StatScalar hits{statGroup, "hits"};
+    StatScalar misses{statGroup, "misses"};
+    StatAverage hitRatio{statGroup, "hit_ratio"};
 };
 
 } // namespace vans::dram

@@ -260,10 +260,14 @@ def _declares(rec, name):
 
 
 def _snapshot_members(project, sf, rec, ai):
-    """(member, via_record) pairs snapshotcover must see covered."""
+    """(member, via_record) pairs snapshotcover must see covered.
+    Typed stat members are skipped: each is registered in its
+    StatGroup member, which serializes them and is checked itself."""
     out = []
     for m in rec.members:
         if m.is_static or m.is_ref or m.is_ptr:
+            continue
+        if COUNTER_MEMBER_RE.search(m.decl):
             continue
         if ai.is_transient(m.line, m.end_line):
             continue
@@ -328,8 +332,10 @@ def rule_snapshotcover(project):
 # statscover                                                       #
 # --------------------------------------------------------------- #
 
-STAT_MEMBER_RE = re.compile(
-    r"\bStat(Scalar|Average|Distribution|Group)\b")
+# A typed counter cannot exist unregistered (its only constructor
+# links it into a StatGroup), so both stats rules check the group.
+COUNTER_MEMBER_RE = re.compile(r"\bStat(Scalar|Average|Distribution)\b")
+STAT_MEMBER_RE = re.compile(r"\bStatGroup\b")
 WALK_METHODS = ("metricsInto", "statsInto")
 ACCESSOR_SIG_RE = re.compile(
     r"^\s*(?:virtual\s+)?(?:const\s+)?(?:vans::)?StatGroup\s*&")
@@ -380,11 +386,12 @@ def rule_statscover(project):
                     continue
                 out.append(Finding(
                     "statscover", sf.rel, m.line,
-                    f"Stat member '{m.name}' of {rec.path} is not "
+                    f"StatGroup member '{m.name}' of {rec.path} is not "
                     "reachable from the MetricsRegistry walk: no "
                     "metricsInto/statsInto references it and no "
-                    "StatGroup& accessor exposes it, so its counts "
-                    "never appear in exported metrics"))
+                    "StatGroup& accessor exposes it, so the counters "
+                    "registered in it never appear in exported "
+                    "metrics"))
     return out
 
 
