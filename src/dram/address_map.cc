@@ -1,9 +1,19 @@
 #include "dram/address_map.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace vans::dram
 {
+
+namespace
+{
+
+/** BankStripe's contiguous column bits: one 256 B chunk. */
+constexpr unsigned loColBits = 2;
+
+} // namespace
 
 AddressMap::AddressMap(const DramGeometry &g, MapScheme s)
     : geom(g), scheme(s)
@@ -16,6 +26,11 @@ AddressMap::AddressMap(const DramGeometry &g, MapScheme s)
     bankBits = log2i(geom.banksPerGroup);
     bgBits = log2i(geom.bankGroups);
     rankBits = log2i(geom.ranks);
+    rowsPerBank = geom.rowsPerBank();
+    stepMask = (1ull << (scheme == MapScheme::BankStripe
+                             ? std::min(colBits, loColBits)
+                             : colBits)) -
+               1;
 }
 
 DramCoord
@@ -41,7 +56,7 @@ AddressMap::decode(Addr addr) const
       case MapScheme::BankStripe: {
         // Low two column bits stay contiguous (one 256B chunk), then
         // banks stripe, then the rest of the columns, then the row.
-        unsigned lo_bits = colBits >= 2 ? 2 : colBits;
+        unsigned lo_bits = std::min(colBits, loColBits);
         std::uint64_t col_lo = take(lo_bits);
         c.bank = static_cast<unsigned>(take(bankBits));
         c.bankGroup = static_cast<unsigned>(take(bgBits));
@@ -52,7 +67,7 @@ AddressMap::decode(Addr addr) const
         break;
       }
     }
-    c.row %= geom.rowsPerBank();
+    c.row %= rowsPerBank;
     return c;
 }
 

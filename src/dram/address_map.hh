@@ -53,6 +53,24 @@ class AddressMap
     /** Decode @p addr (any alignment) into bank coordinates. */
     DramCoord decode(Addr addr) const;
 
+    /**
+     * Step @p c, the coordinates of one line, to those of the next
+     * line up when that line lies in the same bank and row: under
+     * RowBankCol until the column wraps, under BankStripe within one
+     * 4-line chunk. Cheaper than decode(), which a multi-line access
+     * would otherwise pay per line.
+     * @return false, leaving @p c as it was, when the next line lies
+     *         elsewhere; decode() it then.
+     */
+    bool
+    stepColumn(DramCoord &c) const
+    {
+        if ((c.column & stepMask) == stepMask)
+            return false;
+        ++c.column;
+        return true;
+    }
+
     const DramGeometry &geometry() const { return geom; }
 
   private:
@@ -62,6 +80,9 @@ class AddressMap
     unsigned bankBits;
     unsigned bgBits;
     unsigned rankBits;
+    std::uint64_t rowsPerBank;
+    /** Column bits a line-to-line step stays within. */
+    std::uint64_t stepMask;
 };
 
 } // namespace vans::dram
