@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <unordered_set>
 
-#include "common/snapshot.hh"
-
 namespace vans::persist
 {
 
@@ -22,33 +20,6 @@ fmt(const char *f, Args... args)
 }
 
 } // namespace
-
-// ---------------------------------------------------------------- //
-// MediaImage                                                       //
-// ---------------------------------------------------------------- //
-
-void
-MediaImage::snapshotTo(snapshot::StateSink &sink) const
-{
-    sink.tag("media-image");
-    sink.u64(img.size());
-    for (const auto &[line, version] : img) {
-        sink.u64(line);
-        sink.u64(version);
-    }
-}
-
-void
-MediaImage::restoreFrom(snapshot::StateSource &src)
-{
-    src.tag("media-image");
-    img.clear();
-    std::uint64_t n = src.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Addr line = src.u64();
-        img[line] = src.u64();
-    }
-}
 
 // ---------------------------------------------------------------- //
 // PersistenceChecker                                               //

@@ -11,8 +11,8 @@
  * WPQ is lost.
  *
  * This header holds the model-independent half:
- *  - MediaImage: the durable line->version map, serializable through
- *    the snapshot stream so a post-crash world can be seeded from it;
+ *  - MediaImage: the durable line->version map a post-crash world is
+ *    seeded from (MemorySystem::loadDurableImage);
  *  - PersistenceChecker: a passive per-line state machine (dirty ->
  *    flush issued -> fenced) that flags lines a program assumed
  *    durable without the flush+fence discipline;
@@ -39,12 +39,6 @@
 #include "common/check.hh"
 #include "common/mem_system.hh"
 #include "common/types.hh"
-
-namespace vans::snapshot
-{
-class StateSink;
-class StateSource;
-} // namespace vans::snapshot
 
 namespace vans::persist
 {
@@ -90,10 +84,6 @@ class MediaImage
     {
         return img == other.img;
     }
-
-    /** Serialize through the typed snapshot stream. */
-    void snapshotTo(snapshot::StateSink &sink) const;
-    void restoreFrom(snapshot::StateSource &src);
 
   private:
     std::map<Addr, std::uint64_t> img;

@@ -147,33 +147,16 @@ EventQueue::runUntil(Tick limit)
 }
 
 void
-EventQueue::snapshotTo(snapshot::StateSink &sink) const
+EventQueue::serialize(snapshot::Archive &ar)
 {
-    sink.tag("eventq");
-    sink.u64(now);
-    sink.u64(nextSeq);
-    sink.u64(numExecuted);
-    sink.u64(lastExecWhen);
-    sink.u64(lastExecSeq);
-    sink.u64(numHeapCallbacks);
-    sink.u64(maxPending);
-}
-
-void
-EventQueue::restoreFrom(snapshot::StateSource &src)
-{
-    VANS_REQUIRE("eventq", now, heap.empty() && now == 0,
+    VANS_REQUIRE("eventq", now,
+                 !ar.loading() || (heap.empty() && now == 0),
                  "snapshot restore into a non-fresh queue "
                  "(now=%llu pending=%zu)",
                  static_cast<unsigned long long>(now), heap.size());
-    src.tag("eventq");
-    now = src.u64();
-    nextSeq = src.u64();
-    numExecuted = src.u64();
-    lastExecWhen = src.u64();
-    lastExecSeq = src.u64();
-    numHeapCallbacks = src.u64();
-    maxPending = src.u64();
+    ar.tag("eventq");
+    ar(now, nextSeq, numExecuted, lastExecWhen, lastExecSeq,
+       numHeapCallbacks, maxPending);
 }
 
 void

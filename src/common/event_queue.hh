@@ -31,8 +31,7 @@
 
 namespace vans::snapshot
 {
-class StateSink;
-class StateSource;
+class Archive;
 } // namespace vans::snapshot
 
 namespace vans
@@ -109,16 +108,11 @@ class EventQueue
      * Serialize the kernel counters (time, seq, totals). Pending
      * events are NOT serialized: the snapshot contract requires the
      * world to be quiescent, and each component re-arms its own
-     * guarded timers during restore.
+     * guarded timers during restore. A restore needs a freshly built
+     * queue (empty, tick 0); the re-armed timers the components
+     * schedule afterwards continue the captured seq stream.
      */
-    void snapshotTo(snapshot::StateSink &sink) const;
-
-    /**
-     * Restore counters into this queue, which must be freshly built
-     * (empty, tick 0). Re-armed timers scheduled by the components
-     * afterwards continue the captured seq stream.
-     */
-    void restoreFrom(snapshot::StateSource &src);
+    void serialize(snapshot::Archive &ar);
 
   private:
     /**
@@ -127,7 +121,7 @@ class EventQueue
      * indexes the callback slab.
      */
     // simlint-transient(keys only exist for pending events, and the
-    // snapshot contract forbids pending events: restoreFrom REQUIREs
+    // snapshot contract forbids pending events: a restore REQUIREs
     // heap.empty())
     struct Key
     {
@@ -159,7 +153,7 @@ class EventQueue
     std::uint32_t acquireSlot();
 
     // simlint-transient(pending events are not serialized by
-    // contract: snapshots are taken at quiescence and restoreFrom
+    // contract: snapshots are taken at quiescence and a restore
     // REQUIREs heap.empty, so the heap is provably empty both ways)
     std::vector<Key> heap;
     /**

@@ -24,8 +24,7 @@
 
 namespace vans::snapshot
 {
-class StateSink;
-class StateSource;
+class Archive;
 } // namespace vans::snapshot
 
 namespace vans::obs
@@ -45,10 +44,10 @@ namespace vans
 class MetricsRegistry;
 
 /** Abstract timing memory system. */
-// simlint-allow(snapshotcover: the base-class snapshotTo/restoreFrom
-// are aborting stubs for systems without snapshot support; concrete
-// systems serialize lastId through the lastRequestId and
-// setLastRequestId accessors -- see VansSystem::snapshotTo)
+// simlint-allow(snapshotcover: the base-class serialize is an
+// aborting stub for systems without snapshot support; concrete
+// systems serialize lastId through the lastRequestId accessor -- see
+// VansSystem::serialize)
 class MemorySystem
 {
   public:
@@ -157,24 +156,14 @@ class MemorySystem
         }
     }
 
-    /** Serialize the full warm state into @p sink. */
+    /** Capture the full warm state into @p ar, or restore it from
+     *  there (common/snapshot.hh). */
     virtual void
-    snapshotTo(snapshot::StateSink &sink) const
+    serialize(snapshot::Archive &ar)
     {
-        (void)sink;
+        (void)ar;
         VANS_REQUIRE("mem-system", eventq.curTick(), false,
-                     "snapshotTo on a system without snapshot "
-                     "support (%s)",
-                     name().c_str());
-    }
-
-    /** Restore state serialized by snapshotTo() into this instance. */
-    virtual void
-    restoreFrom(snapshot::StateSource &src)
-    {
-        (void)src;
-        VANS_REQUIRE("mem-system", eventq.curTick(), false,
-                     "restoreFrom on a system without snapshot "
+                     "snapshot of a system without snapshot "
                      "support (%s)",
                      name().c_str());
     }
@@ -252,13 +241,12 @@ class MemorySystem
     /**
      * Request storage for this system. Systems with snapshot support
      * serialize it (the free-list order pins the handle sequence a
-     * restored world hands out); see VansSystem::snapshotTo.
+     * restored world hands out); see VansSystem::serialize.
      */
     RequestPool reqPool;
 
-    /** Request-id counter access for snapshotTo/restoreFrom. */
-    std::uint64_t lastRequestId() const { return lastId; }
-    void setLastRequestId(std::uint64_t id) { lastId = id; }
+    /** The request-id counter, for serialize. */
+    std::uint64_t &lastRequestId() { return lastId; }
 
   private:
     std::uint64_t lastId = 0;

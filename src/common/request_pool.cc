@@ -113,62 +113,34 @@ RequestPool::statsInto(StatGroup &stats) const
 }
 
 void
-RequestPool::snapshotTo(snapshot::StateSink &sink) const
+RequestPool::serialize(snapshot::Archive &ar)
 {
     VANS_REQUIRE("reqpool", 0, numLive == 0,
-                 "snapshot of a pool with %zu live requests "
+                 "snapshot with %zu live requests in the pool "
                  "(the world is not quiescent)",
                  numLive);
-    sink.tag("reqpool");
-    sink.u64(slabSize);
-    sink.u64(freeSlots.size());
-    for (std::uint32_t s : freeSlots)
-        sink.u64(s);
+    ar.tag("reqpool");
+    std::uint64_t slab = slabSize;
+    ar(slab);
+    if (ar.loading()) {
+        VANS_REQUIRE("reqpool", 0, slab % chunkSize == 0,
+                     "snapshot slab size %llu is not chunk-aligned",
+                     static_cast<unsigned long long>(slab));
+        // Grow (never shrink) to the captured capacity. The captured
+        // recycle order below then makes the restored world hand out
+        // the exact handle sequence the captured one would have.
+        while (slabSize < slab) {
+            chunks.push_back(std::make_unique<Cell[]>(chunkSize));
+            slabSize += chunkSize;
+        }
+    }
+    ar.seq(freeSlots);
+    VANS_REQUIRE("reqpool", 0, freeSlots.size() == slabSize,
+                 "free list holds %zu of %u slots at a snapshot",
+                 freeSlots.size(), slabSize);
     for (std::uint32_t s = 0; s < slabSize; ++s)
-        sink.u64(cell(s).gen);
-    sink.u64(numAllocs);
-    sink.u64(numReleases);
-    sink.u64(numRecycles);
-    sink.u64(numGrowths);
-    sink.u64(maxLive);
-}
-
-void
-RequestPool::restoreFrom(snapshot::StateSource &src)
-{
-    VANS_REQUIRE("reqpool", 0, numLive == 0,
-                 "restore into a pool with %zu live requests",
-                 numLive);
-    src.tag("reqpool");
-    std::uint64_t target = src.u64();
-    VANS_REQUIRE("reqpool", 0, target % chunkSize == 0,
-                 "snapshot slab size %llu is not chunk-aligned",
-                 static_cast<unsigned long long>(target));
-    // Grow (never shrink) to the captured capacity, then overwrite
-    // the free list with the captured recycle order so the restored
-    // world hands out the exact handle sequence the captured one
-    // would have.
-    while (slabSize < target) {
-        chunks.push_back(std::make_unique<Cell[]>(chunkSize));
-        slabSize += chunkSize;
-    }
-    freeSlots.clear();
-    std::uint64_t nfree = src.u64();
-    VANS_REQUIRE("reqpool", 0, nfree == slabSize,
-                 "free list holds %llu of %u slots at restore",
-                 static_cast<unsigned long long>(nfree), slabSize);
-    freeSlots.reserve(nfree);
-    for (std::uint64_t i = 0; i < nfree; ++i)
-        freeSlots.push_back(static_cast<std::uint32_t>(src.u64()));
-    for (std::uint32_t s = 0; s < slabSize; ++s) {
-        cell(s).gen = static_cast<std::uint32_t>(src.u64());
-        cell(s).liveFlag = false;
-    }
-    numAllocs = src.u64();
-    numReleases = src.u64();
-    numRecycles = src.u64();
-    numGrowths = src.u64();
-    maxLive = src.u64();
+        ar(cell(s).gen);
+    ar(numAllocs, numReleases, numRecycles, numGrowths, maxLive);
 }
 
 } // namespace vans

@@ -34,8 +34,7 @@
 
 namespace vans::snapshot
 {
-class StateSink;
-class StateSource;
+class Archive;
 } // namespace vans::snapshot
 
 namespace vans
@@ -147,10 +146,7 @@ class RequestPool
      * (the snapshot contract demands a quiescent world, and at
      * quiescence every request has been released).
      */
-    void snapshotTo(snapshot::StateSink &sink) const;
-
-    /** Restore into this pool, which must hold no live requests. */
-    void restoreFrom(snapshot::StateSource &src);
+    void serialize(snapshot::Archive &ar);
 
   private:
     /** Slots per slab chunk (power of two; chunks never move). */
@@ -164,8 +160,8 @@ class RequestPool
         // slots afresh through alloc())
         Request req;
         std::uint32_t gen = 1;
-        // simlint-transient(false for every slot of a quiescent pool;
-        // restoreFrom re-clears it explicitly)
+        // simlint-transient(false for every slot of a quiescent pool,
+        // and serialize REQUIREs live() == 0 in both directions)
         bool liveFlag = false;
     };
 
@@ -205,7 +201,7 @@ class RequestPool
      * across slab growth (an issuing callback may allocate).
      */
     // simlint-transient(slab cells hold in-flight requests only, and
-    // snapshotTo REQUIREs live() == 0: every cell is dead at capture
+    // serialize REQUIREs live() == 0: every cell is dead at capture
     // and the generations that matter are serialized separately)
     std::vector<std::unique_ptr<Cell[]>> chunks;
 

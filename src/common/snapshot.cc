@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/check.hh"
+#include "common/event_queue.hh"
 #include "common/mem_system.hh"
 
 namespace vans::snapshot
@@ -143,18 +144,37 @@ StateSource::str()
     return s;
 }
 
+void
+Archive::count(const char *what, std::uint64_t n)
+{
+    std::uint64_t stream = n;
+    field(stream);
+    VANS_REQUIRE("snapshot", 0, stream == n,
+                 "%s count mismatch (%llu vs %llu)", what,
+                 static_cast<unsigned long long>(stream),
+                 static_cast<unsigned long long>(n));
+}
+
+/** The whole world: kernel counters, then the memory system. */
+static void
+serializeWorld(Archive &ar, EventQueue &eq, MemorySystem &sys)
+{
+    ar.tag("world");
+    eq.serialize(ar);
+    sys.serialize(ar);
+    ar.tag("world-end");
+}
+
 WorldSnapshot
-WorldSnapshot::capture(EventQueue &eq, const MemorySystem &sys)
+WorldSnapshot::capture(EventQueue &eq, MemorySystem &sys)
 {
     VANS_REQUIRE("snapshot", eq.curTick(), sys.snapshotSupported(),
                  "capture of a system without snapshot support");
     VANS_REQUIRE("snapshot", eq.curTick(), sys.quiescent(),
                  "capture of a non-quiescent world");
     StateSink sink;
-    sink.tag("world");
-    eq.snapshotTo(sink);
-    sys.snapshotTo(sink);
-    sink.tag("world-end");
+    Archive ar(sink);
+    serializeWorld(ar, eq, sys);
     WorldSnapshot snap;
     snap.image = sink.take();
     return snap;
@@ -168,10 +188,8 @@ WorldSnapshot::restoreInto(EventQueue &eq, MemorySystem &sys) const
     VANS_REQUIRE("snapshot", eq.curTick(), sys.snapshotSupported(),
                  "restore into a system without snapshot support");
     StateSource src(image);
-    src.tag("world");
-    eq.restoreFrom(src);
-    sys.restoreFrom(src);
-    src.tag("world-end");
+    Archive ar(src);
+    serializeWorld(ar, eq, sys);
     VANS_REQUIRE("snapshot", eq.curTick(), src.exhausted(),
                  "trailing bytes after world restore");
 }

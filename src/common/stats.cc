@@ -91,34 +91,6 @@ StatGroup::dump() const
     return out.str();
 }
 
-void
-StatGroup::writeListed(snapshot::StateSink &sink) const
-{
-    Listed<StatScalar> ss = allScalars();
-    sink.u64(ss.size());
-    for (const StatScalar *s : ss) {
-        sink.str(s->name());
-        sink.u64(s->value());
-    }
-    Listed<StatAverage> as = allAverages();
-    sink.u64(as.size());
-    for (const StatAverage *a : as) {
-        sink.str(a->name());
-        sink.f64(a->m.sum);
-        sink.u64(a->m.n);
-        sink.f64(a->m.lo);
-        sink.f64(a->m.hi);
-    }
-}
-
-void
-StatGroup::snapshotTo(snapshot::StateSink &sink) const
-{
-    sink.tag("stats");
-    sink.str(groupName);
-    writeListed(sink);
-}
-
 template <typename T>
 T &
 StatGroup::registered(StatEntry::Kind kind, const std::string &key)
@@ -131,38 +103,61 @@ StatGroup::registered(StatEntry::Kind kind, const std::string &key)
 }
 
 void
-StatGroup::restoreFrom(snapshot::StateSource &src)
+StatGroup::serialize(snapshot::Archive &ar)
 {
-    src.tag("stats");
-    std::string name = src.str();
+    ar.tag("stats");
+    std::string name = groupName;
+    ar(name);
     VANS_REQUIRE("stats", 0, name == groupName,
                  "stat group mismatch: stream has \"%s\", "
                  "restorer is \"%s\"",
                  name.c_str(), groupName.c_str());
-    for (StatEntry *e = heads[StatEntry::Scalar]; e; e = e->next)
-        static_cast<StatScalar *>(e)->set(0);
-    for (StatEntry *e = heads[StatEntry::Average]; e; e = e->next)
-        static_cast<StatAverage *>(e)->m = {};
-    // Each stat is looked up before its values are read: C++17 orders
-    // a call's object expression before its arguments, and a braced
-    // list left to right.
-    for (std::uint64_t n = src.u64(); n > 0; --n)
-        registered<StatScalar>(StatEntry::Scalar, src.str())
-            .set(src.u64());
-    for (std::uint64_t n = src.u64(); n > 0; --n) {
-        StatAverage &a =
-            registered<StatAverage>(StatEntry::Average, src.str());
-        a.m = {src.f64(), src.u64(), src.f64(), src.f64()};
+    if (ar.loading()) {
+        for (StatEntry *e = heads[StatEntry::Scalar]; e; e = e->next)
+            static_cast<StatScalar *>(e)->set(0);
+        for (StatEntry *e = heads[StatEntry::Average]; e; e = e->next)
+            static_cast<StatAverage *>(e)->m = {};
+    }
+    // The listed stats by name: a restore sets the registered stat
+    // each name denotes.
+    Listed<StatScalar> scalars;
+    if (!ar.loading())
+        scalars = allScalars();
+    std::uint64_t n = scalars.size();
+    ar(n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        std::string key = ar.loading() ? "" : scalars[i]->name();
+        std::uint64_t v = ar.loading() ? 0 : scalars[i]->value();
+        ar(key, v);
+        if (ar.loading())
+            registered<StatScalar>(StatEntry::Scalar, key).set(v);
+    }
+    Listed<StatAverage> averages;
+    if (!ar.loading())
+        averages = allAverages();
+    n = averages.size();
+    ar(n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        std::string key = ar.loading() ? "" : averages[i]->name();
+        StatAverage::Moments m = ar.loading() ? StatAverage::Moments{}
+                                              : averages[i]->m;
+        ar(key, m.sum, m.n, m.lo, m.hi);
+        if (ar.loading())
+            registered<StatAverage>(StatEntry::Average, key).m = m;
     }
 }
 
 bool
 StatGroup::identicalTo(const StatGroup &other) const
 {
-    snapshot::StateSink mine, theirs;
-    writeListed(mine);
-    other.writeListed(theirs);
-    return mine.data() == theirs.data();
+    auto image = [](const StatGroup &g) {
+        snapshot::StateSink sink;
+        snapshot::Archive ar(sink);
+        // A capture never mutates the group it serializes.
+        const_cast<StatGroup &>(g).serialize(ar);
+        return sink.take();
+    };
+    return image(*this) == image(other);
 }
 
 } // namespace vans

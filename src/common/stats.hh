@@ -7,7 +7,7 @@
  * (`hits.inc()`). The only constructor links the counter into the
  * group's name-sorted list for its kind, without allocating. The
  * group walks those lists to render (dump(), MetricsRegistry JSON)
- * and to serialize; restoreFrom writes values into the members in
+ * and to serialize; a restore writes values into the members in
  * place. A Listing::All group lists every registered stat; a
  * Listing::Used group lists a scalar once it is nonzero and an
  * average or distribution once it has a sample. Either lists a
@@ -27,8 +27,7 @@
 
 namespace vans::snapshot
 {
-class StateSink;
-class StateSource;
+class Archive;
 } // namespace vans::snapshot
 
 namespace vans
@@ -152,7 +151,7 @@ class StatDistribution : public StatAverage
 
 /** The registered stats of one component, by name. */
 // simlint-allow(statscover, snapshotcover: StatGroup is what the
-// metrics walk iterates and what snapshotTo/restoreFrom serialize;
+// metrics walk iterates and what its serialize body captures;
 // its listing policy is fixed at construction and its export-time
 // scalars carry no simulated state)
 class StatGroup
@@ -217,18 +216,17 @@ class StatGroup
     /** Render "group.stat = value" lines. */
     std::string dump() const;
 
-    /** Serialize the listed scalars and averages (bit-exact). */
-    void snapshotTo(snapshot::StateSink &sink) const;
-
     /**
-     * Restore stats serialized by snapshotTo() in place: every
-     * registered scalar and average takes its stream value, or zero
-     * when the stream does not list it. A stream key the group never
-     * registered is a fatal mismatch.
+     * Serialize the listed scalars and averages by name (bit-exact).
+     * A restore works in place: every registered scalar and average
+     * takes its stream value, or zero when the stream does not list
+     * it. A stream key the group never registered is a fatal
+     * mismatch.
      */
-    void restoreFrom(snapshot::StateSource &src);
+    void serialize(snapshot::Archive &ar);
 
-    /** True when both groups list identical stats (test helper). */
+    /** True when both groups serialize to the same bytes (test
+     *  helper). */
     bool identicalTo(const StatGroup &other) const;
 
   private:
@@ -251,8 +249,6 @@ class StatGroup
     /** The stat @p key of @p kind, which must be registered. */
     template <typename T>
     T &registered(StatEntry::Kind kind, const std::string &key);
-    /** The listed scalars and averages, without the group's name. */
-    void writeListed(snapshot::StateSink &sink) const;
 
     template <typename T>
     Listed<T>

@@ -203,93 +203,27 @@ Ddr4Checker::check(const std::vector<DramCommand> &cmds)
 }
 
 void
-Ddr4Checker::snapshotTo(snapshot::StateSink &sink) const
+Ddr4Checker::serialize(snapshot::Archive &ar)
 {
     VANS_REQUIRE("ddr4-checker", 0, viols.empty(),
                  "snapshot of a checker holding %zu violations",
                  viols.size());
-    sink.tag("ddr4-checker");
-    sink.u64(banks.size());
-    for (const CheckBank &b : banks) {
-        sink.boolean(b.open);
-        sink.u64(b.row);
-        sink.u64(b.lastAct);
-        sink.u64(b.lastPre);
-        sink.u64(b.lastRd);
-        sink.u64(b.lastWrDataEnd);
-        sink.boolean(b.everActed);
-        sink.boolean(b.everPre);
-        sink.boolean(b.everRd);
-        sink.boolean(b.everWr);
-    }
-    sink.u64(lastCasGroup.size());
-    for (std::size_t g = 0; g < lastCasGroup.size(); ++g) {
-        sink.u64(lastCasGroup[g]);
-        sink.boolean(casSeenGroup[g]);
-        sink.u64(lastActGroup[g]);
-        sink.boolean(actSeenGroup[g]);
-    }
-    sink.u64(lastCasAny);
-    sink.boolean(casSeen);
-    sink.u64(lastActAny);
-    sink.boolean(actSeen);
-    sink.u64(lastWrDataEndAny);
-    sink.boolean(wrSeen);
-    sink.u64(actWindow.size());
-    for (Tick t : actWindow)
-        sink.u64(t);
-    sink.u64(refDoneAt);
-    sink.u64(lastRef);
-    sink.boolean(refSeen);
-    sink.u64(numFed);
-}
-
-void
-Ddr4Checker::restoreFrom(snapshot::StateSource &src)
-{
-    src.tag("ddr4-checker");
-    reset();
-    std::uint64_t nb = src.u64();
-    VANS_REQUIRE("ddr4-checker", 0, nb == banks.size(),
-                 "bank count mismatch (%llu vs %zu)",
-                 static_cast<unsigned long long>(nb), banks.size());
+    ar.tag("ddr4-checker");
+    ar.count("bank", banks.size());
     for (CheckBank &b : banks) {
-        b.open = src.boolean();
-        b.row = src.u64();
-        b.lastAct = src.u64();
-        b.lastPre = src.u64();
-        b.lastRd = src.u64();
-        b.lastWrDataEnd = src.u64();
-        b.everActed = src.boolean();
-        b.everPre = src.boolean();
-        b.everRd = src.boolean();
-        b.everWr = src.boolean();
+        ar(b.open, b.row, b.lastAct, b.lastPre, b.lastRd,
+           b.lastWrDataEnd, b.everActed, b.everPre, b.everRd,
+           b.everWr);
     }
-    std::uint64_t ng = src.u64();
-    VANS_REQUIRE("ddr4-checker", 0, ng == lastCasGroup.size(),
-                 "group count mismatch (%llu vs %zu)",
-                 static_cast<unsigned long long>(ng),
-                 lastCasGroup.size());
+    ar.count("group", lastCasGroup.size());
     for (std::size_t g = 0; g < lastCasGroup.size(); ++g) {
-        lastCasGroup[g] = src.u64();
-        casSeenGroup[g] = src.boolean();
-        lastActGroup[g] = src.u64();
-        actSeenGroup[g] = src.boolean();
+        ar(lastCasGroup[g], casSeenGroup[g], lastActGroup[g],
+           actSeenGroup[g]);
     }
-    lastCasAny = src.u64();
-    casSeen = src.boolean();
-    lastActAny = src.u64();
-    actSeen = src.boolean();
-    lastWrDataEndAny = src.u64();
-    wrSeen = src.boolean();
-    actWindow.clear();
-    std::uint64_t nw = src.u64();
-    for (std::uint64_t i = 0; i < nw; ++i)
-        actWindow.push_back(src.u64());
-    refDoneAt = src.u64();
-    lastRef = src.u64();
-    refSeen = src.boolean();
-    numFed = src.u64();
+    ar(lastCasAny, casSeen, lastActAny, actSeen, lastWrDataEndAny,
+       wrSeen);
+    ar.seq(actWindow);
+    ar(refDoneAt, lastRef, refSeen, numFed);
 }
 
 } // namespace vans::dram

@@ -40,8 +40,7 @@
 
 namespace vans::snapshot
 {
-class StateSink;
-class StateSource;
+class Archive;
 } // namespace vans::snapshot
 
 namespace vans::dram
@@ -82,8 +81,7 @@ class Ddr4Checker
      * would flag CAS commands to rows it never saw opened).
      * Requires a clean checker (no accumulated violations).
      */
-    void snapshotTo(snapshot::StateSink &sink) const;
-    void restoreFrom(snapshot::StateSource &src);
+    void serialize(snapshot::Archive &ar);
 
   private:
     struct CheckBank
@@ -107,8 +105,8 @@ class Ddr4Checker
                  Tick now);
 
     // simlint-transient(construction-time configuration: the
-    // restoring world is built from the same DramTiming before
-    // restoreFrom runs, so serializing it would only duplicate the
+    // restoring world is built from the same DramTiming before the
+    // restore runs, so serializing it would only duplicate the
     // config file)
     DramTiming spec;
     // simlint-transient(construction-time configuration, fixed by
@@ -133,7 +131,7 @@ class Ddr4Checker
     bool refSeen = false;
 
     std::uint64_t numFed = 0;
-    // simlint-transient(snapshotTo REQUIREs viols.empty -- a world
+    // simlint-transient(serialize REQUIREs viols.empty -- a world
     // with recorded protocol violations has already failed and must
     // not be captured, so there is nothing to restore)
     std::vector<Violation> viols;

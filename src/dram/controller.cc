@@ -537,112 +537,58 @@ DramController::process()
 }
 
 void
-DramController::snapshotTo(snapshot::StateSink &sink) const
+DramController::serialize(snapshot::Archive &ar)
 {
     VANS_REQUIRE("dram", eventq.curTick(),
                  readQueue.empty() && writeQueue.empty(),
                  "snapshot with %zu line requests queued",
                  queueDepth());
-    sink.tag("dram-ctrl");
-    sink.str(statGroup.name());
-    sink.u64(banks.size());
-    for (const BankState &b : banks) {
-        sink.boolean(b.open);
-        sink.u64(b.row);
-        sink.u64(b.actReady);
-        sink.u64(b.casReady);
-        sink.u64(b.preReady);
-    }
-    sink.u64(nextSeq);
-    sink.u64(lastCasInGroup.size());
-    for (std::size_t g = 0; g < lastCasInGroup.size(); ++g) {
-        sink.u64(lastCasInGroup[g]);
-        sink.u64(lastActInGroup[g]);
-    }
-    sink.u64(lastCasAny);
-    sink.u64(lastActAny);
-    sink.u64(actWindow.size());
-    for (std::size_t i = 0; i < actWindow.size(); ++i)
-        sink.u64(actWindow.at(i));
-    sink.u64(lastWrDataEnd);
-    sink.u64(dataBusFree);
-    sink.u64(cmdBusFree);
-    sink.u64(nextRefresh);
-    sink.boolean(refreshPending);
-    sink.boolean(wakeupScheduled);
-    sink.u64(wakeupAt);
-    statGroup.snapshotTo(sink);
-    sink.boolean(checker != nullptr);
-    if (checker)
-        checker->snapshotTo(sink);
-}
-
-void
-DramController::restoreFrom(snapshot::StateSource &src)
-{
-    VANS_REQUIRE("dram", eventq.curTick(),
-                 readQueue.empty() && writeQueue.empty() &&
-                     !wakeupScheduled,
-                 "restore into a controller already in use");
-    src.tag("dram-ctrl");
-    std::string who = src.str();
+    ar.tag("dram-ctrl");
+    std::string who = statGroup.name();
+    ar(who);
     VANS_REQUIRE("dram", eventq.curTick(), who == statGroup.name(),
                  "controller mismatch: stream has \"%s\", "
                  "restorer is \"%s\"",
                  who.c_str(), statGroup.name().c_str());
-    std::uint64_t nb = src.u64();
-    VANS_REQUIRE("dram", eventq.curTick(), nb == banks.size(),
-                 "bank count mismatch (%llu vs %zu)",
-                 static_cast<unsigned long long>(nb), banks.size());
-    for (BankState &b : banks) {
-        b.open = src.boolean();
-        b.row = src.u64();
-        b.actReady = src.u64();
-        b.casReady = src.u64();
-        b.preReady = src.u64();
+    ar.count("bank", banks.size());
+    for (BankState &b : banks)
+        ar(b.open, b.row, b.actReady, b.casReady, b.preReady);
+    ar(nextSeq);
+    ar.count("group", lastCasInGroup.size());
+    for (std::size_t g = 0; g < lastCasInGroup.size(); ++g)
+        ar(lastCasInGroup[g], lastActInGroup[g]);
+    ar(lastCasAny, lastActAny);
+    // The tFAW window, oldest ACT first.
+    std::uint64_t acts = actWindow.size();
+    ar(acts);
+    if (ar.loading())
+        actWindow.clear();
+    for (std::uint64_t i = 0; i < acts; ++i) {
+        Tick t = ar.loading() ? 0 : actWindow.at(i);
+        ar(t);
+        if (ar.loading())
+            actWindow.push_back(t);
     }
-    nextSeq = src.u64();
-    std::uint64_t ng = src.u64();
-    VANS_REQUIRE("dram", eventq.curTick(),
-                 ng == lastCasInGroup.size(),
-                 "group count mismatch (%llu vs %zu)",
-                 static_cast<unsigned long long>(ng),
-                 lastCasInGroup.size());
-    for (std::size_t g = 0; g < lastCasInGroup.size(); ++g) {
-        lastCasInGroup[g] = src.u64();
-        lastActInGroup[g] = src.u64();
-    }
-    lastCasAny = src.u64();
-    lastActAny = src.u64();
-    actWindow.clear();
-    std::uint64_t nw = src.u64();
-    for (std::uint64_t i = 0; i < nw; ++i)
-        actWindow.push_back(src.u64());
-    lastWrDataEnd = src.u64();
-    dataBusFree = src.u64();
-    cmdBusFree = src.u64();
-    nextRefresh = src.u64();
-    refreshPending = src.boolean();
-    bool wakeup = src.boolean();
-    Tick wakeup_at = src.u64();
-    statGroup.restoreFrom(src);
-    bool had_checker = src.boolean();
-    if (had_checker && checker)
-        checker->restoreFrom(src);
-    else if (had_checker && !checker) {
-        // Captured in verified mode, restored without: consume the
-        // checker section so the stream stays aligned.
-        Ddr4Checker scratch(spec, map.geometry());
-        scratch.restoreFrom(src);
-    }
-    // Re-arm the refresh wakeup the captured world had pending. It
-    // runs before any post-restore work because restore happens
-    // before the caller issues anything new, and decides afresh.
-    planValid = false;
-    if (wakeup) {
-        wakeupScheduled = true;
-        wakeupAt = wakeup_at;
-        armWakeup();
+    ar(lastWrDataEnd, dataBusFree, cmdBusFree);
+    ar(nextRefresh, refreshPending, wakeupScheduled, wakeupAt);
+    statGroup.serialize(ar);
+    bool checked = checker != nullptr;
+    ar(checked);
+    VANS_REQUIRE("dram", eventq.curTick(), checked == (checker != nullptr),
+                 "%s: the stream %s an online-checker section; capture "
+                 "and restore must both run with VANS_VERIFY or both "
+                 "without",
+                 statGroup.name().c_str(), checked ? "has" : "lacks");
+    if (checker)
+        checker->serialize(ar);
+    if (ar.loading()) {
+        // Re-arm the refresh wakeup the captured world had pending.
+        // It runs before any post-restore work because restore
+        // happens before the caller issues anything new, and decides
+        // afresh.
+        planValid = false;
+        if (wakeupScheduled)
+            armWakeup();
     }
 }
 

@@ -119,16 +119,17 @@ class DramController
      * Serialize bank/timing state, stats and (when present) the
      * online checker. Requires empty request queues; the command
      * trace is not preserved (a restored world records a fresh
-     * trace). The pending refresh wakeup is re-armed on restore.
+     * trace). A restore re-arms the pending refresh wakeup and
+     * REQUIREs the capture to have had an online checker exactly
+     * when this controller has one.
      */
-    void snapshotTo(snapshot::StateSink &sink) const;
-    void restoreFrom(snapshot::StateSource &src);
+    void serialize(snapshot::Archive &ar);
 
   private:
     static constexpr Tick never = std::numeric_limits<Tick>::max();
 
     // simlint-transient(Parent fan-in nodes exist only while a line
-    // request is in flight; snapshotTo REQUIREs both request queues
+    // request is in flight; serialize REQUIREs both request queues
     // empty, so none can be live at capture)
     struct Parent
     {
@@ -141,7 +142,7 @@ class DramController
      * is decoded as the line joins the window and not kept.
      */
     // simlint-transient(LineReq entries live in readQueue/writeQueue,
-    // which snapshotTo REQUIREs empty -- in-flight requests are never
+    // which serialize REQUIREs empty -- in-flight requests are never
     // part of a captured world)
     struct LineReq
     {
@@ -179,7 +180,7 @@ class DramController
      * as lines join and leave, recounted on ACT, zeroed on PRE and
      * REF. The slots and lists are sized at construction.
      */
-    // simlint-transient(snapshotTo REQUIREs both request queues
+    // simlint-transient(serialize REQUIREs both request queues
     // empty, so every window and backlog is empty at capture and a
     // fresh controller's empty queues are the restored state)
     struct Queue
@@ -337,8 +338,7 @@ class DramController
 
     EventQueue &eventq;
     // simlint-transient(construction-time configuration: the
-    // restoring controller is built from the same spec, and
-    // restoreFrom only reads it to size the scratch checker)
+    // restoring controller is built from the same spec)
     DramTiming spec;
     // simlint-transient(construction-time configuration shared by
     // capture and restore worlds; never mutated after the ctor)
@@ -365,7 +365,7 @@ class DramController
      * invalidates a reference held by a scheduled data event.
      */
     // simlint-transient(fan-in slots only carry in-flight accesses,
-    // and snapshotTo REQUIREs both request queues empty; the free
+    // and serialize REQUIREs both request queues empty; the free
     // list rebuilds as a restored world issues fresh accesses)
     std::vector<Parent> parents;
     // simlint-transient(free-list over parents, which are all free at

@@ -22,6 +22,28 @@ onDimmDramGeometry()
     return g;
 }
 
+/**
+ * An LRU's keys, most recent first. A restore re-inserts them least
+ * recent first, which rebuilds the recency order, and REQUIREs that
+ * @p lru (sized by @p what) holds them all.
+ */
+void
+serializeLru(snapshot::Archive &ar, FlatLru &lru, const char *what)
+{
+    std::vector<Addr> order;
+    if (!ar.loading())
+        lru.forEachMruToLru([&order](Addr page) { order.push_back(page); });
+    ar.seq(order);
+    if (!ar.loading())
+        return;
+    Addr evicted = 0;
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+        VANS_REQUIRE("ait", 0, !lru.insert(*it, evicted),
+                     "snapshot holds %zu pages, more than %s (%zu)",
+                     order.size(), what, lru.capacity());
+    }
+}
+
 } // namespace
 
 Ait::Ait(EventQueue &eq, const NvramConfig &config,
@@ -412,47 +434,18 @@ Ait::drainWrites()
 }
 
 void
-Ait::snapshotTo(snapshot::StateSink &sink) const
+Ait::serialize(snapshot::Archive &ar)
 {
     VANS_REQUIRE("ait", eventq.curTick(), writeQuiescent(),
                  "snapshot with %zu queued writes (drain %d)",
                  intakeCount, static_cast<int>(drainBusy));
-    sink.tag("ait");
-    sink.u64(bufLru.size());
-    bufLru.forEachMruToLru([&sink](Addr page) { sink.u64(page); });
-    sink.u64(tlc.size());
-    tlc.forEachMruToLru([&sink](Addr page) { sink.u64(page); });
-    statGroup.snapshotTo(sink);
-    media.snapshotTo(sink);
-    wear.snapshotTo(sink);
-    dram.snapshotTo(sink);
-}
-
-void
-Ait::restoreFrom(snapshot::StateSource &src)
-{
-    VANS_REQUIRE("ait", eventq.curTick(),
-                 writeQuiescent() && bufLru.size() == 0 &&
-                     tlc.size() == 0,
-                 "restore into a non-fresh AIT");
-    src.tag("ait");
-    // Keys arrive MRU-first; inserting in reverse (LRU-first)
-    // reproduces the exact recency order.
-    std::vector<Addr> order(src.u64());
-    for (Addr &page : order)
-        page = src.u64();
-    Addr evicted = 0;
-    for (auto it = order.rbegin(); it != order.rend(); ++it)
-        bufLru.insert(*it, evicted);
-    order.resize(src.u64());
-    for (Addr &page : order)
-        page = src.u64();
-    for (auto it = order.rbegin(); it != order.rend(); ++it)
-        tlc.insert(*it, evicted);
-    statGroup.restoreFrom(src);
-    media.restoreFrom(src);
-    wear.restoreFrom(src);
-    dram.restoreFrom(src);
+    ar.tag("ait");
+    serializeLru(ar, bufLru, "ait_buf_entries");
+    serializeLru(ar, tlc, "the translation cache");
+    statGroup.serialize(ar);
+    media.serialize(ar);
+    wear.serialize(ar);
+    dram.serialize(ar);
 }
 
 } // namespace vans::nvram

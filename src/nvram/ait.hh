@@ -151,13 +151,13 @@ class Ait
     /**
      * Serialize buffer/translation residency (recency order),
      * stats, and the media/wear/DRAM submodels. Requires
-     * writeQuiescent() and idle submodels.
+     * writeQuiescent() and idle submodels. A restore REQUIREs the
+     * buffered pages to fit this AIT's ait_buf_entries.
      */
-    void snapshotTo(snapshot::StateSink &sink) const;
-    void restoreFrom(snapshot::StateSource &src);
+    void serialize(snapshot::Archive &ar);
 
   private:
-    // simlint-transient(intake-ring payload; snapshotTo REQUIREs
+    // simlint-transient(intake-ring payload; serialize REQUIREs
     // writeQuiescent so no pending write exists at capture)
     struct PendingWrite
     {
@@ -218,7 +218,7 @@ class Ait
 
     /** Bounded write intake as a fixed-capacity ring. */
     static constexpr std::size_t writeIntakeDepth = 4;
-    // simlint-transient(snapshotTo REQUIREs writeQuiescent, which
+    // simlint-transient(serialize REQUIREs writeQuiescent, which
     // means intakeCount == 0: every ring slot is dead at capture)
     std::array<PendingWrite, writeIntakeDepth> intakeRing;
     // simlint-transient(ring cursor over an empty ring; any start

@@ -43,21 +43,12 @@ NvramDimm::read(Addr addr, DoneCallback done)
 }
 
 void
-NvramDimm::snapshotTo(snapshot::StateSink &sink) const
+NvramDimm::serialize(snapshot::Archive &ar)
 {
-    sink.tag("nvram-dimm");
-    lsqStage.snapshotTo(sink);
-    rmwStage.snapshotTo(sink);
-    aitStage.snapshotTo(sink);
-}
-
-void
-NvramDimm::restoreFrom(snapshot::StateSource &src)
-{
-    src.tag("nvram-dimm");
-    lsqStage.restoreFrom(src);
-    rmwStage.restoreFrom(src);
-    aitStage.restoreFrom(src);
+    ar.tag("nvram-dimm");
+    lsqStage.serialize(ar);
+    rmwStage.serialize(ar);
+    aitStage.serialize(ar);
 }
 
 } // namespace vans::nvram

@@ -89,8 +89,7 @@ class NvramDimm
     }
 
     /** Serialize all three stages (each REQUIREs its quiescence). */
-    void snapshotTo(snapshot::StateSink &sink) const;
-    void restoreFrom(snapshot::StateSource &src);
+    void serialize(snapshot::Archive &ar);
 
   private:
     EventQueue &eventq;

@@ -265,58 +265,43 @@ DramCache::drainNvmWrites()
 }
 
 void
-DramCache::snapshotTo(snapshot::StateSink &sink) const
+DramCache::serialize(snapshot::Archive &ar)
 {
     VANS_REQUIRE("dcache", eventq.curTick(), quiescent(),
                  "snapshot of a non-quiescent DRAM cache");
-    sink.tag("dcache");
-    sink.u64(numSets);
+    ar.tag("dcache");
+    ar.count("dcache set", numSets);
+    // Sparse tag store in set order: (set, tag, dirty) triples. The
+    // capture counts the valid sets; a restore starts from an empty
+    // tag store and touches only the sets the stream names.
     std::uint64_t valid = 0;
-    for (std::uint64_t set = 0; set < numSets; ++set) {
-        if ((lineState[set] & kValid) != 0)
-            ++valid;
+    if (ar.loading()) {
+        std::fill(tags.begin(), tags.end(), 0);
+        std::fill(lineState.begin(), lineState.end(),
+                  static_cast<std::uint8_t>(0));
+    } else {
+        for (std::uint64_t set = 0; set < numSets; ++set)
+            valid += (lineState[set] & kValid) != 0;
     }
-    // Sparse tag store in set order: (set, tag, dirty) triples.
-    sink.u64(valid);
-    for (std::uint64_t set = 0; set < numSets; ++set) {
-        if ((lineState[set] & kValid) == 0)
-            continue;
-        sink.u64(set);
-        sink.u64(tags[set]);
-        sink.boolean((lineState[set] & kDirty) != 0);
-    }
-    statGroup.snapshotTo(sink);
-    dram.snapshotTo(sink);
-}
-
-void
-DramCache::restoreFrom(snapshot::StateSource &src)
-{
-    VANS_REQUIRE("dcache", eventq.curTick(), quiescent(),
-                 "restore into a non-quiescent DRAM cache");
-    src.tag("dcache");
-    std::uint64_t n = src.u64();
-    VANS_REQUIRE("dcache", eventq.curTick(), n == numSets,
-                 "set count mismatch (%llu vs %llu): capture and "
-                 "restore worlds must share dcache_capacity",
-                 static_cast<unsigned long long>(n),
-                 static_cast<unsigned long long>(numSets));
-    std::fill(tags.begin(), tags.end(), 0);
-    std::fill(lineState.begin(), lineState.end(),
-              static_cast<std::uint8_t>(0));
-    std::uint64_t valid = src.u64();
-    for (std::uint64_t i = 0; i < valid; ++i) {
-        std::uint64_t set = src.u64();
+    ar(valid);
+    std::uint64_t set = 0;
+    for (std::uint64_t i = 0; i < valid; ++i, ++set) {
+        // A capture walks to the next valid set; a restore reads it.
+        while (!ar.loading() && (lineState[set] & kValid) == 0)
+            ++set;
+        ar(set);
         VANS_REQUIRE("dcache", eventq.curTick(), set < numSets,
                      "snapshot set %llu beyond %llu sets",
                      static_cast<unsigned long long>(set),
                      static_cast<unsigned long long>(numSets));
-        tags[set] = src.u64();
-        lineState[set] = static_cast<std::uint8_t>(
-            kValid | (src.boolean() ? kDirty : 0));
+        bool dirty = (lineState[set] & kDirty) != 0;
+        ar(tags[set], dirty);
+        if (ar.loading())
+            lineState[set] = static_cast<std::uint8_t>(
+                kValid | (dirty ? kDirty : 0));
     }
-    statGroup.restoreFrom(src);
-    dram.restoreFrom(src);
+    statGroup.serialize(ar);
+    dram.serialize(ar);
 }
 
 } // namespace vans::nvram

@@ -135,8 +135,7 @@ class DramCache
      * and the cache DIMM controller. Requires quiescent(): MSHRs,
      * waiters and the writeback queue are provably empty at capture.
      */
-    void snapshotTo(snapshot::StateSink &sink) const;
-    void restoreFrom(snapshot::StateSource &src);
+    void serialize(snapshot::Archive &ar);
 
   private:
     /** Line-state bits packed into lineState[set]. */
@@ -190,7 +189,7 @@ class DramCache
     NvramDimm &nvm;
 
     // simlint-transient(derived from cfg.dcacheCapacity at
-    // construction; restoreFrom REQUIREs the stream to match)
+    // construction; a restore REQUIREs the stream to match)
     std::uint64_t numSets;
     /** Per-set tag: the full line address cached in the set. */
     std::vector<Addr> tags;

@@ -585,65 +585,24 @@ Imc::quiescent() const
 }
 
 void
-Imc::snapshotTo(snapshot::StateSink &sink) const
+Imc::serialize(snapshot::Archive &ar)
 {
     VANS_REQUIRE("imc", eventq.curTick(), quiescent(),
                  "snapshot of a non-quiescent iMC");
-    sink.tag("imc");
-    sink.u64(channels.size());
-    sink.boolean(persistTracking);
-    sink.u64(wcFill);
-    for (const Channel &ch : channels) {
-        sink.u64(ch.bus.freeAt);
-        sink.boolean(ch.bus.lastWasWrite);
-        sink.boolean(ch.bus.used);
-        ch.stats->group.snapshotTo(sink);
-        ch.dimm->snapshotTo(sink);
-        if (ch.dcache)
-            ch.dcache->snapshotTo(sink);
-        // adrVersions: durable state survives snapshots like it
-        // survives power cuts. Sorted for a deterministic stream.
-        std::vector<std::pair<Addr, std::uint64_t>> adr(
-            ch.adrVersions.begin(), ch.adrVersions.end());
-        std::sort(adr.begin(), adr.end());
-        sink.u64(adr.size());
-        for (const auto &[line, version] : adr) {
-            sink.u64(line);
-            sink.u64(version);
-        }
-    }
-    statGroup.snapshotTo(sink);
-}
-
-void
-Imc::restoreFrom(snapshot::StateSource &src)
-{
-    VANS_REQUIRE("imc", eventq.curTick(), quiescent(),
-                 "restore into a non-quiescent iMC");
-    src.tag("imc");
-    std::uint64_t n = src.u64();
-    VANS_REQUIRE("imc", eventq.curTick(), n == channels.size(),
-                 "channel count mismatch (%llu vs %zu)",
-                 static_cast<unsigned long long>(n),
-                 channels.size());
-    persistTracking = src.boolean();
-    wcFill = src.u64();
+    ar.tag("imc");
+    ar.count("channel", channels.size());
+    ar(persistTracking, wcFill);
     for (Channel &ch : channels) {
-        ch.bus.freeAt = src.u64();
-        ch.bus.lastWasWrite = src.boolean();
-        ch.bus.used = src.boolean();
-        ch.stats->group.restoreFrom(src);
-        ch.dimm->restoreFrom(src);
+        ar(ch.bus.freeAt, ch.bus.lastWasWrite, ch.bus.used);
+        ch.stats->group.serialize(ar);
+        ch.dimm->serialize(ar);
         if (ch.dcache)
-            ch.dcache->restoreFrom(src);
-        ch.adrVersions.clear();
-        std::uint64_t na = src.u64();
-        for (std::uint64_t i = 0; i < na; ++i) {
-            Addr line = src.u64();
-            ch.adrVersions[line] = src.u64();
-        }
+            ch.dcache->serialize(ar);
+        // Durable state survives snapshots like it survives power
+        // cuts.
+        ar.sortedMap(ch.adrVersions);
     }
-    statGroup.restoreFrom(src);
+    statGroup.serialize(ar);
 }
 
 } // namespace vans::nvram

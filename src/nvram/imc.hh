@@ -156,11 +156,10 @@ class Imc
     bool quiescent() const;
 
     /**
-     * Serialize per-channel bus state, stats and every DIMM.
-     * Requires quiescent().
+     * Serialize per-channel bus state, stats, every DIMM and DRAM
+     * cache, and the ADR versions. Requires quiescent().
      */
-    void snapshotTo(snapshot::StateSink &sink) const;
-    void restoreFrom(snapshot::StateSource &src);
+    void serialize(snapshot::Archive &ar);
 
   private:
     struct DdrtBus

@@ -292,24 +292,14 @@ Lsq::startGroupDrain(Group &g)
 }
 
 void
-Lsq::snapshotTo(snapshot::StateSink &sink) const
+Lsq::serialize(snapshot::Archive &ar)
 {
     VANS_REQUIRE("lsq", eventq.curTick(),
                  writeQuiescent() && !drainCheckScheduled &&
                      numEntries == 0,
                  "snapshot of a non-quiescent LSQ");
-    sink.tag("lsq");
-    statGroup.snapshotTo(sink);
-}
-
-void
-Lsq::restoreFrom(snapshot::StateSource &src)
-{
-    VANS_REQUIRE("lsq", eventq.curTick(),
-                 writeQuiescent() && !drainCheckScheduled,
-                 "restore into a non-quiescent LSQ");
-    src.tag("lsq");
-    statGroup.restoreFrom(src);
+    ar.tag("lsq");
+    statGroup.serialize(ar);
 }
 
 } // namespace vans::nvram

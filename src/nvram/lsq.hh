@@ -107,12 +107,11 @@ class Lsq
      * drain latch, no scheduled drain check (the queue itself is
      * empty at quiescence, so stats are the only state).
      */
-    void snapshotTo(snapshot::StateSink &sink) const;
-    void restoreFrom(snapshot::StateSource &src);
+    void serialize(snapshot::Archive &ar);
 
   private:
     // simlint-transient(groups exist only while writes are queued;
-    // snapshotTo REQUIREs writeQuiescent with numEntries == 0, so
+    // serialize REQUIREs writeQuiescent with numEntries == 0, so
     // the map holding these is empty at capture)
     struct Group
     {
@@ -158,7 +157,7 @@ class Lsq
     NvramConfig cfg;
     RmwBuffer &rmw;
 
-    // simlint-transient(empty at capture: snapshotTo REQUIREs
+    // simlint-transient(empty at capture: serialize REQUIREs
     // writeQuiescent and numEntries == 0)
     std::map<Addr, Group> groups; ///< Ordered: stable iteration.
     /** Extracted map nodes recycled between group open and drain, so
@@ -167,14 +166,14 @@ class Lsq
     // state, only empty recycled nodes)
     std::vector<std::map<Addr, Group>::node_type> freeGroups;
     // simlint-transient(provably 0 at capture, REQUIREd by
-    // snapshotTo)
+    // serialize)
     std::size_t numEntries = 0;
     // simlint-transient(non-zero only while a group drain is in
     // flight, which writeQuiescent rules out)
     unsigned drainLatch = 0; ///< Groups between LSQ and RMW accept.
 
     // simlint-transient(provably false at capture, REQUIREd by
-    // snapshotTo)
+    // serialize)
     bool drainCheckScheduled = false;
     // simlint-transient(meaningful only while drainCheckScheduled,
     // which the snapshot precondition rules out)

@@ -167,32 +167,16 @@ XPointMedia::pendingOps() const
 }
 
 void
-XPointMedia::snapshotTo(snapshot::StateSink &sink) const
+XPointMedia::serialize(snapshot::Archive &ar)
 {
     VANS_REQUIRE("media", eventq.curTick(), pendingOps() == 0,
                  "snapshot with %zu media ops in flight",
                  pendingOps());
-    sink.tag("media");
-    sink.u64(partitions.size());
-    for (const auto &p : partitions)
-        sink.u64(p.freeAt);
-    statGroup.snapshotTo(sink);
-}
-
-void
-XPointMedia::restoreFrom(snapshot::StateSource &src)
-{
-    VANS_REQUIRE("media", eventq.curTick(), pendingOps() == 0,
-                 "restore into a busy media model");
-    src.tag("media");
-    std::uint64_t n = src.u64();
-    VANS_REQUIRE("media", eventq.curTick(), n == partitions.size(),
-                 "partition count mismatch (%llu vs %zu)",
-                 static_cast<unsigned long long>(n),
-                 partitions.size());
-    for (auto &p : partitions)
-        p.freeAt = src.u64();
-    statGroup.restoreFrom(src);
+    ar.tag("media");
+    ar.count("partition", partitions.size());
+    for (Partition &p : partitions)
+        ar(p.freeAt);
+    statGroup.serialize(ar);
 }
 
 } // namespace vans::nvram

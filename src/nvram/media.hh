@@ -92,8 +92,7 @@ class XPointMedia
      * stats). Requires pendingOps() == 0: operation queues and the
      * completion events that drain them are never serialized.
      */
-    void snapshotTo(snapshot::StateSink &sink) const;
-    void restoreFrom(snapshot::StateSource &src);
+    void serialize(snapshot::Archive &ar);
 
   private:
     enum class Priority : std::uint8_t
@@ -104,7 +103,7 @@ class XPointMedia
     };
 
     // simlint-transient(ops live in the per-partition queues, and
-    // snapshotTo REQUIREs pendingOps() == 0: none exist at capture)
+    // serialize REQUIREs pendingOps() == 0: none exist at capture)
     struct Op
     {
         bool write;

@@ -93,10 +93,10 @@ class RmwBuffer
     /**
      * Serialize resident entries (sorted by line), the clean-LRU
      * sequence verbatim, and stats. Requires full quiescence: no
-     * staged writes, no fills in flight, every entry Clean.
+     * staged writes, no fills in flight, every entry Clean. A restore
+     * REQUIREs the entries to fit this buffer's rmw_entries.
      */
-    void snapshotTo(snapshot::StateSink &sink) const;
-    void restoreFrom(snapshot::StateSource &src);
+    void serialize(snapshot::Archive &ar);
 
   private:
     enum class State : std::uint8_t
@@ -111,9 +111,9 @@ class RmwBuffer
     {
         Addr line;
         State state = State::Clean;
-        // simlint-transient(snapshotTo REQUIREs every entry Clean,
-        // and clean entries have no dirty bytes; restoreFrom
-        // re-zeroes it explicitly)
+        // simlint-transient(serialize REQUIREs every entry Clean,
+        // and clean entries have no dirty bytes; a restored entry
+        // starts at zero)
         std::uint32_t dirtyBytes = 0;
         /** Entry exists only to stage a write: freed after issue.
          *  Read-fill entries are retained clean instead -- the RMW
@@ -122,7 +122,7 @@ class RmwBuffer
         bool writeStaging = false;
         bool inCleanLru = false; ///< Present in the LRU list.
         // simlint-transient(waiters exist only on in-flight entries;
-        // snapshotTo REQUIREs every entry Clean with
+        // serialize REQUIREs every entry Clean with
         // mergeWaiters.empty())
         std::vector<DoneCallback> mergeWaiters;
     };
@@ -155,8 +155,8 @@ class RmwBuffer
     std::list<Addr> cleanLru;          ///< Front = most recent.
     std::size_t cleanCount = 0;        ///< Entries in State::Clean.
     // simlint-transient(holds dirty lines only; writeQuiescent --
-    // the snapshot precondition -- means none exist, and restoreFrom
-    // REQUIREs it empty)
+    // the snapshot precondition in both directions -- means none
+    // exist)
     std::deque<Addr> issueFifo;        ///< Dirty lines, FIFO to AIT.
     // simlint-transient(provably false at capture: the issue engine
     // runs only while issueFifo is non-empty)

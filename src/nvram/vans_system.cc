@@ -159,21 +159,12 @@ VansSystem::metricsInto(MetricsRegistry &reg)
 }
 
 void
-VansSystem::snapshotTo(snapshot::StateSink &sink) const
+VansSystem::serialize(snapshot::Archive &ar)
 {
-    sink.tag("vans");
-    sink.u64(lastRequestId());
-    reqPool.snapshotTo(sink);
-    imcModel.snapshotTo(sink);
-}
-
-void
-VansSystem::restoreFrom(snapshot::StateSource &src)
-{
-    src.tag("vans");
-    setLastRequestId(src.u64());
-    reqPool.restoreFrom(src);
-    imcModel.restoreFrom(src);
+    ar.tag("vans");
+    ar(lastRequestId());
+    reqPool.serialize(ar);
+    imcModel.serialize(ar);
 }
 
 std::uint64_t

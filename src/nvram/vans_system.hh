@@ -87,8 +87,7 @@ class VansSystem : public MemorySystem
     /** Warm-world fork support (common/snapshot.hh). */
     bool snapshotSupported() const override { return true; }
     bool quiescent() const override;
-    void snapshotTo(snapshot::StateSink &sink) const override;
-    void restoreFrom(snapshot::StateSource &src) override;
+    void serialize(snapshot::Archive &ar) override;
 
     /** Persistence domain (common/crash.hh): the WPQ is the ADR
      *  durability boundary this system exposes. Memory mode opts
@@ -112,7 +111,7 @@ class VansSystem : public MemorySystem
     // simlint-transient(construction-time configuration: capture and
     // restore worlds are built from the same NvramConfig)
     NvramConfig cfg;
-    // simlint-transient(construction-time name; restoreFrom REQUIREs
+    // simlint-transient(construction-time name; a restore REQUIREs
     // the stream's stat-group names to match, which pins it)
     std::string sysName;
     Imc imcModel;
@@ -131,11 +130,11 @@ class VansSystem : public MemorySystem
     /**
      * Trace recorder ownership (unique_ptr is legal here only:
      * simlint's tracebyvalue rule). Deliberately excluded from
-     * snapshotTo/restoreFrom -- a restored world records a fresh
-     * trace, which the snapshot-identity test relies on.
+     * serialize -- a restored world records a fresh trace, which the
+     * snapshot-identity test relies on.
      */
     // simlint-transient(documented above: trace recorders are
-    // deliberately excluded from snapshotTo/restoreFrom)
+    // deliberately excluded from serialize)
     std::unique_ptr<obs::TraceRecorder> rec;
     // simlint-transient(holds latency distributions only, and
     // distributions are observability-only by the StatGroup snapshot

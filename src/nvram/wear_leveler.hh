@@ -109,8 +109,7 @@ class WearLeveler
      * deterministic image) and stats. Requires no in-flight
      * migrations -- their completion events cannot be captured.
      */
-    void snapshotTo(snapshot::StateSink &sink) const;
-    void restoreFrom(snapshot::StateSource &src);
+    void serialize(snapshot::Archive &ar);
 
   private:
     Addr blockOf(Addr addr) const { return addr / cfg.wearBlockBytes; }
@@ -133,7 +132,7 @@ class WearLeveler
     std::uint16_t lblMigration = 0;
     /** block -> open migration flow id (traced runs only). */
     // simlint-transient(open trace flows track in-flight migrations,
-    // and snapshotTo REQUIREs migrating.empty; a restored world
+    // and serialize REQUIREs migrating.empty; a restored world
     // records a fresh trace anyway)
     std::unordered_map<Addr, std::uint64_t> migrationFlows;
 };

@@ -428,10 +428,11 @@ jsonOf(const StatGroup &g)
 }
 
 std::vector<std::uint8_t>
-streamOf(const StatGroup &g)
+streamOf(StatGroup &g)
 {
     snapshot::StateSink sink;
-    g.snapshotTo(sink);
+    snapshot::Archive ar(sink);
+    g.serialize(ar);
     return sink.take();
 }
 
@@ -446,7 +447,8 @@ TEST(Stats, BumpAfterRestoreShowsInJson)
     Counters fork;
     fork.misses.inc(9); // Overwritten: misses is not in the stream.
     snapshot::StateSource src(bytes);
-    fork.group.restoreFrom(src);
+    snapshot::Archive ar(src);
+    fork.group.serialize(ar);
     EXPECT_TRUE(src.exhausted());
     EXPECT_TRUE(fork.group.identicalTo(warm.group));
     EXPECT_EQ(fork.misses.value(), 0u);
@@ -563,7 +565,8 @@ TEST(StatsDeathTest, RestoringAnUnregisteredKeyFails)
         {
             Counters narrow;
             snapshot::StateSource src(bytes);
-            narrow.group.restoreFrom(src);
+            snapshot::Archive ar(src);
+            narrow.group.serialize(ar);
         },
         "stat group \"unit\" has no stat \"extra\" to restore");
 }

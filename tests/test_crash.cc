@@ -26,7 +26,6 @@
 #include "common/crash.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "common/snapshot.hh"
 #include "lens/driver.hh"
 #include "nvram/nvm_checker.hh"
 #include "nvram/vans_system.hh"
@@ -102,25 +101,6 @@ TEST(MediaImage, MaxMergeAndLookup)
     EXPECT_TRUE(img == other);
     other.set(0xc0, 1);
     EXPECT_FALSE(img == other);
-}
-
-TEST(MediaImage, SnapshotRoundTrip)
-{
-    MediaImage img;
-    img.set(0x1000, 42);
-    img.set(0x0, 1);
-    img.set(0xffffffc0, 9001);
-
-    snapshot::StateSink sink;
-    img.snapshotTo(sink);
-    std::vector<std::uint8_t> bytes = sink.take();
-
-    MediaImage back;
-    back.set(0x77, 1); // Stale content must be cleared by restore.
-    snapshot::StateSource src(bytes);
-    back.restoreFrom(src);
-    EXPECT_TRUE(src.exhausted());
-    EXPECT_TRUE(back == img);
 }
 
 // ---- PersistenceChecker ----------------------------------------------

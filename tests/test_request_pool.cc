@@ -213,12 +213,14 @@ TEST(RequestPoolSnapshot, RestoredPoolReplaysTheHandleSequence)
     EXPECT_GT(warm_cap, 128u) << "script must outgrow one chunk";
 
     snapshot::StateSink sink;
-    proto.snapshotTo(sink);
+    snapshot::Archive capture(sink);
+    proto.serialize(capture);
     auto bytes = sink.take();
 
     RequestPool fork;
     snapshot::StateSource src(bytes);
-    fork.restoreFrom(src);
+    snapshot::Archive restore(src);
+    fork.serialize(restore);
     EXPECT_TRUE(src.exhausted());
     EXPECT_EQ(fork.capacity(), warm_cap);
     EXPECT_EQ(fork.live(), 0u);
@@ -243,6 +245,7 @@ TEST(RequestPoolSnapshotDeathTest, SnapshotWithLiveRequestsDies)
     RequestPool pool;
     RequestHandle h = pool.alloc();
     snapshot::StateSink sink;
-    EXPECT_DEATH(pool.snapshotTo(sink), "live request");
+    snapshot::Archive ar(sink);
+    EXPECT_DEATH(pool.serialize(ar), "live request");
     pool.release(h);
 }

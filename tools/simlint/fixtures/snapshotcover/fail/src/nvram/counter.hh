@@ -8,26 +8,17 @@ namespace vans::nvram
 class Counter
 {
   public:
-    void snapshotTo(snapshot::StateSink &sink) const
+    void serialize(snapshot::Archive &ar)
     {
-        sink.u64(tags.size());
-        for (unsigned long long t : tags)
-            sink.u64(t);
-    }
-
-    void restoreFrom(snapshot::StateSource &src)
-    {
-        tags.resize(src.u64());
-        for (auto &t : tags)
-            t = src.u64();
+        ar.seq(tags);
     }
 
   private:
     std::vector<unsigned long long> tags;
-    // The dirty-bit array that snapshotTo and restoreFrom both
-    // forget: a forked world restores every cached line as clean,
-    // drops the victim writebacks, and silently diverges from the
-    // warm prototype -- the exact bug class snapshotcover catches.
+    // The dirty-bit array that serialize forgets: a forked world
+    // restores every cached line as clean, drops the victim
+    // writebacks, and silently diverges from the warm prototype --
+    // the exact bug class snapshotcover catches.
     std::vector<bool> dirtyBits;
 };
 

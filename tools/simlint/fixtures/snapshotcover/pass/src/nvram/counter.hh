@@ -8,25 +8,11 @@ namespace vans::nvram
 class Counter
 {
   public:
-    void snapshotTo(snapshot::StateSink &sink) const
+    void serialize(snapshot::Archive &ar)
     {
-        sink.u64(tags.size());
-        for (unsigned long long i = 0; i < tags.size(); ++i) {
-            sink.u64(tags[i]);
-            sink.boolean(dirtyBits[i]);
-        }
-        statGroup.snapshotTo(sink);
-    }
-
-    void restoreFrom(snapshot::StateSource &src)
-    {
-        tags.resize(src.u64());
-        dirtyBits.resize(tags.size());
-        for (unsigned long long i = 0; i < tags.size(); ++i) {
-            tags[i] = src.u64();
-            dirtyBits[i] = src.boolean();
-        }
-        statGroup.restoreFrom(src);
+        ar.seq(tags);
+        ar.seq(dirtyBits);
+        statGroup.serialize(ar);
     }
 
     StatGroup &stats() { return statGroup; }
@@ -34,8 +20,8 @@ class Counter
   private:
     // The architectural cache image: tag store plus the dirty bits
     // that decide which victims must write back to the media. Both
-    // are serialized together -- a restored world owes the DIMM
-    // exactly the writebacks the prototype owed.
+    // are serialized -- a restored world owes the DIMM exactly the
+    // writebacks the prototype owed.
     std::vector<unsigned long long> tags;
     std::vector<bool> dirtyBits;
 

@@ -9,11 +9,10 @@ Per-line determinism rules (v1 heritage):
 
 Declaration-aware rules (v2):
 
-  snapshotcover  every data member of a class defining snapshotTo +
-                 restoreFrom must be referenced in BOTH bodies (so a
-                 dead restore flags too), or carry
+  snapshotcover  every data member of a class defining serialize must
+                 be referenced in its serialize body, or carry
                  simlint-transient(reason). Members of nested structs
-                 without their own snapshotTo are included -- exactly
+                 without their own serialize are included -- exactly
                  the Imc::Channel::pendingArrivals bug class.
   statscover     every Stat* member must be reachable from the
                  MetricsRegistry walk: referenced in a
@@ -278,7 +277,7 @@ def _snapshot_members(project, sf, rec, ai):
         child = sf.records.get(child_path)
         if child is None:
             continue
-        if _declares(child, "snapshotTo"):
+        if _declares(child, "serialize"):
             continue  # checked on its own
         if ai.allowed("snapshotcover", child.line):
             continue
@@ -293,36 +292,23 @@ def rule_snapshotcover(project):
     for sf in project.files:
         ai = project.annots[sf.rel]
         for rec in sf.records.values():
-            if not (_declares(rec, "snapshotTo")
-                    and _declares(rec, "restoreFrom")):
+            if not _declares(rec, "serialize"):
                 continue
             if ai.allowed("snapshotcover", rec.line):
                 continue
-            snap = _collect_bodies(project, sf, rec, ("snapshotTo",))
-            rest = _collect_bodies(project, sf, rec, ("restoreFrom",))
-            if snap is None or rest is None:
+            body = _collect_bodies(project, sf, rec, ("serialize",))
+            if body is None:
                 continue  # interface-only; nothing to analyze
             for member, via in _snapshot_members(project, sf, rec,
                                                  ai):
-                pat = re.compile(r"\b" + re.escape(member.name)
-                                 + r"\b")
-                in_snap = bool(pat.search(snap))
-                in_rest = bool(pat.search(rest))
-                if in_snap and in_rest:
+                if re.search(r"\b" + re.escape(member.name) + r"\b",
+                             body):
                     continue
-                if not in_snap and not in_rest:
-                    what = "snapshotTo or restoreFrom"
-                elif in_snap:
-                    what = "restoreFrom (captured but never " \
-                           "restored: dead snapshot data)"
-                else:
-                    what = "snapshotTo (restored but never " \
-                           "captured: reads another member's bytes)"
                 where = rec.path if via is rec else via.path
                 out.append(Finding(
                     "snapshotcover", sf.rel, member.line,
                     f"member '{member.name}' of {where} is not "
-                    f"referenced in {what}; a forked world silently "
+                    "referenced in serialize; a forked world silently "
                     "diverges from the warm prototype. Serialize it "
                     "or mark it simlint-transient(reason)"))
     return out
@@ -499,7 +485,7 @@ def rule_layering(project):
 # Methods that run off the event path by construction: building,
 # serializing, exporting, attaching observers.
 COLD_METHOD_RE = re.compile(
-    r"^(snapshotTo|restoreFrom|statsInto|metricsInto|attachTracer|"
+    r"^(serialize|statsInto|metricsInto|attachTracer|"
     r"dump|build\w*|toChromeJson|writeChromeJson)$")
 
 ALLOC_TYPE_RE = re.compile(
@@ -691,7 +677,7 @@ ALL_RULES = {
                      "layer"),
     "snapshotcover": (rule_snapshotcover,
                       "Every member of a snapshot-capable class is "
-                      "serialized in snapshotTo AND restoreFrom, or "
+                      "referenced in its serialize body, or "
                       "marked simlint-transient"),
     "statscover": (rule_statscover,
                    "Every Stat* member is reachable from the "
