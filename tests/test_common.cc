@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
+#include <set>
+#include <string>
+#include <tuple>
 
 #include "common/ascii_chart.hh"
 #include "common/config.hh"
@@ -130,6 +134,278 @@ TEST(EventQueue, KernelCountersTrackLoad)
     EXPECT_EQ(sg.scalarValue("events_executed"), 11u);
     EXPECT_EQ(sg.scalarValue("peak_pending"), 10u);
     EXPECT_EQ(sg.scalarValue("callback_heap_spills"), 1u);
+}
+
+namespace
+{
+
+/** Ticks per kernel bucket boundary the delays below straddle. */
+constexpr Tick bucketTicks = 1024;
+
+/**
+ * A delay from the classes that straddle an event kernel's internal
+ * boundaries: the same tick; one tick and either side of a 1024-tick
+ * bucket; 1-300 ns; the horizon of a wheel of 2^10 or of 2^13 such
+ * buckets, -1/0/+1 tick; and 5-100 us.
+ */
+Tick
+boundaryDelay(Rng &rng)
+{
+    switch (rng.below(8)) {
+      case 0:
+        return 0;
+      case 1: {
+        constexpr Tick near[] = {1, bucketTicks - 1, bucketTicks,
+                                 bucketTicks + 1};
+        return near[rng.below(4)];
+      }
+      case 2:
+      case 3:
+      case 4:
+        return nsToTicks(1) + rng.below(nsToTicks(299) + 1);
+      case 5: {
+        Tick horizon = bucketTicks << (rng.below(2) ? 13 : 10);
+        return horizon - 1 + rng.below(3);
+      }
+      default:
+        return nsToTicks(5000) + rng.below(nsToTicks(95000) + 1);
+    }
+}
+
+/** The ordering contract spelled out: pending events run strictly
+ *  by (when, seq), seq counting every schedule call. */
+struct ReferenceQueue
+{
+    Tick now = 0;
+    std::uint64_t seq = 0;
+    std::uint64_t executed = 0;
+    std::set<std::tuple<Tick, std::uint64_t, unsigned>> pending;
+
+    void
+    schedule(Tick when, unsigned id)
+    {
+        pending.emplace(when, seq++, id);
+    }
+
+    unsigned
+    pop()
+    {
+        auto [when, s, id] = *pending.begin();
+        (void)s;
+        pending.erase(pending.begin());
+        now = when;
+        ++executed;
+        return id;
+    }
+};
+
+/**
+ * An EventQueue and the reference driven in lock step. Each event
+ * logs its id when it runs and schedules 0-2 children whose delays
+ * come from a stream seeded by its id, so both sides spawn the same
+ * children when they run the same events.
+ */
+struct OrderingHarness
+{
+    explicit OrderingHarness(std::uint64_t s) : seed(s) {}
+
+    struct Fire
+    {
+        OrderingHarness *h;
+        unsigned id;
+        void operator()() const { h->fired(id); }
+    };
+
+    template <typename Fn>
+    void
+    children(unsigned id, Fn &&spawn)
+    {
+        Rng r(seed * 0x9e3779b97f4a7c15ull + id);
+        std::uint64_t roll = r.below(10);
+        unsigned n = roll < 3 ? 1 : roll < 4 ? 2 : 0;
+        for (unsigned i = 0; i < n; ++i)
+            spawn(boundaryDelay(r));
+    }
+
+    void
+    fired(unsigned id)
+    {
+        got.push_back(id);
+        children(id, [this](Tick d) {
+            eq.scheduleAfter(d, Fire{this, nextId++});
+        });
+    }
+
+    void
+    refStep()
+    {
+        unsigned id = ref.pop();
+        want.push_back(id);
+        children(id, [this](Tick d) {
+            ref.schedule(ref.now + d, refNextId++);
+        });
+    }
+
+    /** Schedule from outside any callback, alternating the API. */
+    void
+    scheduleOutside(Tick delay)
+    {
+        if (nextId % 2)
+            eq.scheduleAfter(delay, Fire{this, nextId++});
+        else
+            eq.schedule(eq.curTick() + delay, Fire{this, nextId++});
+        ref.schedule(ref.now + delay, refNextId++);
+    }
+
+    /** One step on both sides, checking nextAt() before it. */
+    void
+    step()
+    {
+        if (!ref.pending.empty()) {
+            ASSERT_FALSE(eq.empty());
+            ASSERT_EQ(eq.nextAt(), std::get<0>(*ref.pending.begin()));
+        }
+        bool ran = eq.step();
+        ASSERT_EQ(ran, !ref.pending.empty());
+        if (ran)
+            refStep();
+    }
+
+    void
+    runUntil(Tick limit)
+    {
+        eq.runUntil(limit);
+        while (!ref.pending.empty() &&
+               std::get<0>(*ref.pending.begin()) <= limit)
+            refStep();
+        if (!ref.pending.empty())
+            ref.now = std::max(ref.now, limit);
+    }
+
+    void
+    expectSame()
+    {
+        ASSERT_EQ(got.size(), want.size());
+        for (; checked < got.size(); ++checked)
+            ASSERT_EQ(got[checked], want[checked])
+                << "event #" << checked << " ran out of order";
+        ASSERT_EQ(eq.curTick(), ref.now);
+        ASSERT_EQ(eq.pending(), ref.pending.size());
+        ASSERT_EQ(eq.executed(), ref.executed);
+        ASSERT_EQ(eq.scheduled(), ref.seq);
+    }
+
+    std::uint64_t seed;
+    EventQueue eq;
+    ReferenceQueue ref;
+    std::vector<unsigned> got;
+    std::vector<unsigned> want;
+    std::size_t checked = 0;
+    unsigned nextId = 0;
+    unsigned refNextId = 0;
+};
+
+} // namespace
+
+TEST(EventQueue, MatchesReferenceOrderAcrossBucketsAndHorizon)
+{
+    // Start ticks off any 1024-tick bucket boundary (and one on it).
+    constexpr Tick starts[] = {0, 1, 513, 1023, 1025, (1u << 20) - 1,
+                               (1u << 23) + 700, 123456789};
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        OrderingHarness h(seed);
+        Rng rng(seed);
+        Tick start = starts[seed % std::size(starts)];
+        if (start) {
+            h.scheduleOutside(start);
+            ASSERT_NO_FATAL_FAILURE(h.step());
+            ASSERT_NO_FATAL_FAILURE(h.expectSame());
+        }
+
+        // The aliasing case: with now mid-bucket, an event one tick
+        // short of either horizon must still run after nearer ones,
+        // and one just past it before farther ones.
+        for (unsigned shift : {10u, 13u}) {
+            Tick horizon = bucketTicks << shift;
+            h.scheduleOutside(horizon - 1);
+            h.scheduleOutside(horizon + 1);
+            h.scheduleOutside(horizon);
+            h.scheduleOutside(nsToTicks(1));
+            h.scheduleOutside(bucketTicks - 1);
+            h.scheduleOutside(0);
+        }
+        for (int i = 0; i < 12; ++i)
+            ASSERT_NO_FATAL_FAILURE(h.step());
+        ASSERT_NO_FATAL_FAILURE(h.expectSame());
+
+        for (int op = 0; op < 3000; ++op) {
+            switch (rng.below(8)) {
+              case 0:
+              case 1:
+              case 2:
+                h.scheduleOutside(boundaryDelay(rng));
+                break;
+              case 3:
+              case 4:
+              case 5:
+                ASSERT_NO_FATAL_FAILURE(h.step());
+                break;
+              case 6:
+                h.runUntil(h.eq.curTick() + boundaryDelay(rng));
+                break;
+              default:
+                for (std::uint64_t n = rng.below(8); n > 0; --n)
+                    ASSERT_NO_FATAL_FAILURE(h.step());
+                break;
+            }
+            ASSERT_NO_FATAL_FAILURE(h.expectSame()) << "op " << op;
+        }
+        while (!h.ref.pending.empty())
+            ASSERT_NO_FATAL_FAILURE(h.step());
+        ASSERT_NO_FATAL_FAILURE(h.expectSame());
+        EXPECT_TRUE(h.eq.empty());
+        EXPECT_FALSE(h.eq.step());
+    }
+}
+
+TEST(EventQueue, DestroyedQueueReleasesPendingCaptures)
+{
+    // Worlds die with events pending (an idle DDR4 controller keeps
+    // its refresh wake-up armed): every pending capture, near or far,
+    // inline or spilled, must be destroyed exactly once.
+    auto token = std::make_shared<int>(0);
+    struct Big
+    {
+        char blob[2 * InplaceCallback::inlineCapacity] = {};
+    } big;
+    constexpr Tick delays[] = {0,
+                               1,
+                               bucketTicks + 1,
+                               nsToTicks(300),
+                               (bucketTicks << 10) + 1,
+                               (bucketTicks << 13) + 1,
+                               nsToTicks(50000)};
+    {
+        EventQueue eq;
+        eq.schedule(777, [] {});
+        eq.run(); // now mid-bucket
+        for (Tick d : delays) {
+            eq.scheduleAfter(d, [token] { (void)token; });
+            eq.scheduleAfter(d, [token, big] {
+                (void)token;
+                (void)big;
+            });
+        }
+        // Run a few so some slots are recycled before the queue dies.
+        eq.step();
+        eq.step();
+        EXPECT_EQ(eq.heapCallbacks(), std::size(delays));
+        EXPECT_EQ(eq.pending(), 2 * std::size(delays) - 2);
+        EXPECT_EQ(token.use_count(),
+                  static_cast<long>(1 + eq.pending()));
+    }
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(InplaceCallback, SmallCaptureStaysInline)

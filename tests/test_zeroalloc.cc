@@ -8,7 +8,9 @@
  * after warmup: the request pool recycles slots, the IMC queues run
  * on grown-in-place rings, completion callbacks stay inside
  * InplaceFunction's inline buffer, and the event kernel reuses its
- * callback slab.
+ * callback slab. A kernel-only window then drives a bare warmed
+ * EventQueue from all-near to all-far rounds of the same depth: its
+ * far-event storage must grow with the slab, never on its own.
  *
  * A second check counts live heap blocks across a whole CPU-core run
  * and its teardown: a world whose loads wait on page walks must give
@@ -324,6 +326,61 @@ runTeardownTest()
     return 0;
 }
 
+/**
+ * One kernel-only round: @p depth events pending at once, @p far of
+ * them 200-300 us out (beyond any near-future horizon a kernel
+ * keeps), the rest within 300 ns; every other one re-arms a 1-tick
+ * event from inside its callback. Then drain.
+ */
+void
+kernelRound(EventQueue &eq, Rng &rng, unsigned depth, unsigned far)
+{
+    for (unsigned i = 0; i < depth; ++i) {
+        Tick d = i < far ? nsToTicks(200000) + rng.below(nsToTicks(100000))
+                         : rng.below(nsToTicks(300));
+        eq.scheduleAfter(d, [&eq, rearm = i % 2 == 0] {
+            if (rearm)
+                eq.scheduleAfter(1, [] {});
+        });
+    }
+    eq.run();
+}
+
+int
+runKernelTest()
+{
+    constexpr unsigned depth = 300;
+    EventQueue eq;
+    Rng rng(31);
+    // Warm-up: the mix includes far events, so every structure the
+    // kernel keeps has seen both kinds at full depth.
+    for (int round = 0; round < 4; ++round)
+        kernelRound(eq, rng, depth, depth / 8);
+
+    // Rounds of the same depth, from all near to all far: whatever
+    // split between near and far storage a kernel makes, its far side
+    // must already hold the slab's capacity.
+    std::uint64_t before = newCalls();
+    std::uint64_t events = eq.executed();
+    for (unsigned far = 0; far <= depth; far += depth / 10)
+        kernelRound(eq, rng, depth, far);
+    std::uint64_t delta = newCalls() - before;
+    events = eq.executed() - events;
+    if (delta != 0) {
+        std::fprintf(stderr,
+                     "FAIL: %llu heap allocation(s) across %llu kernel "
+                     "events of a warmed queue (expected 0)\n",
+                     static_cast<unsigned long long>(delta),
+                     static_cast<unsigned long long>(events));
+        return 1;
+    }
+    std::printf("PASS: 0 heap allocations across %llu kernel events "
+                "near and beyond the horizon (peak pending %zu)\n",
+                static_cast<unsigned long long>(events),
+                eq.peakPending());
+    return 0;
+}
+
 /** Heap blocks (operator new plus calloc) a Table V Hierarchy takes
  *  to be built and freed: one array per cache and TLB level. */
 int
@@ -414,6 +471,7 @@ int
 main()
 {
     int failed = runTest();
+    failed |= runKernelTest();
     failed |= runTeardownTest();
     failed |= runHierarchyBuildTest();
     failed |= runHierarchyAccessTest();
