@@ -10,8 +10,8 @@
  * need to be copied. InplaceFunction exploits that profile: captures
  * up to `inlineCapacity` bytes live inline in the object (no
  * allocation on schedule), larger captures fall back to a single heap
- * cell, and the type is move-only so the kernel can move callbacks
- * out of its slab instead of copying them.
+ * cell, and the type is move-only, so a callback is never copied (the
+ * event kernel builds each one in place in its slab node).
  *
  * The primary template is signature-parameterized so the same storage
  * scheme serves the event kernel (`InplaceCallback` = void()) and the
@@ -190,9 +190,10 @@ class InplaceFunction<R(Args...), Capacity>
  * scalars still fits: every pipeline hop that re-schedules a
  * completion callback stays allocation-free (the zero-alloc
  * regression test pins this). Kept as tight as that worst inline
- * capture -- every byte here is paid by every cell of the event
- * kernel's callback slab, and 88 is the most that still packs into
- * the same 96-byte object under max_align_t padding.
+ * capture -- every byte here is paid by every node of the event
+ * kernel's slab. 88 is the most that still packs into a 96-byte
+ * object under max_align_t padding, which with the node's 32-byte
+ * order key and link makes a 128-byte node, two cache lines.
  */
 using InplaceCallback = InplaceFunction<void(), 88>;
 
