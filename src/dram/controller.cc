@@ -71,9 +71,9 @@ DramController::attachTracer(obs::TraceRecorder &rec,
                              const std::string &track_name)
 {
     tracer = &rec;
-    traceTrack = rec.track(track_name);
-    lblRead = rec.label("dram_rd");
-    lblWrite = rec.label("dram_wr");
+    wiring.track = rec.track(track_name);
+    wiring.read = rec.label("dram_rd");
+    wiring.write = rec.label("dram_wr");
 }
 
 DramController::~DramController()
@@ -285,8 +285,8 @@ DramController::issueCas(const LineReq &r)
         (write ? writeLatency : readLatency)
             .sample(ticksToNs(data_end - enq));
         if (tracer) [[unlikely]] {
-            tracer->span(traceTrack, write ? lblWrite : lblRead, enq,
-                         data_end);
+            tracer->span(wiring.track, write ? wiring.write : wiring.read,
+                         enq, data_end);
         }
         // Move the callback out and recycle the slot first: the
         // callback may re-enter access(), which may take the slot.

@@ -337,15 +337,9 @@ class DramController
     void doRefresh();
 
     EventQueue &eventq;
-    // simlint-transient(construction-time configuration: the
-    // restoring controller is built from the same spec)
-    DramTiming spec;
-    // simlint-transient(construction-time configuration shared by
-    // capture and restore worlds; never mutated after the ctor)
-    AddressMap map;
-    // simlint-transient(construction-time configuration: scheduler
-    // policy enum fixed at build time)
-    SchedPolicy policy;
+    const DramTiming spec;
+    const AddressMap map;
+    const SchedPolicy policy;
 
     /** Grab a fan-in slot from the recycled parent slab. */
     std::uint32_t allocParent(unsigned remaining, DoneCallback done);
@@ -422,13 +416,14 @@ class DramController
     std::unique_ptr<Ddr4Checker> checker;
 
     obs::TraceRecorder *tracer = nullptr;
-    // simlint-transient(trace wiring assigned by attachTracer after
-    // construction; a restored world re-attaches its own recorder)
-    std::uint16_t traceTrack = 0;
-    // simlint-transient(trace label id, re-interned on attachTracer)
-    std::uint16_t lblRead = 0;
-    // simlint-transient(trace label id, re-interned on attachTracer)
-    std::uint16_t lblWrite = 0;
+    /** Trace ids, refilled by attachTracer. */
+    struct TraceWiring
+    {
+        std::uint16_t track = 0;
+        std::uint16_t read = 0;
+        std::uint16_t write = 0;
+    };
+    TraceWiring wiring;
 };
 
 } // namespace vans::dram

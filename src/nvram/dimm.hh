@@ -93,9 +93,7 @@ class NvramDimm
 
   private:
     EventQueue &eventq;
-    // simlint-transient(construction-time configuration: capture and
-    // restore worlds are built from the same NvramConfig)
-    NvramConfig cfg;
+    const NvramConfig cfg;
     Ait aitStage;
     RmwBuffer rmwStage;
     Lsq lsqStage;

@@ -67,9 +67,9 @@ DramCache::attachTracer(obs::TraceRecorder &rec,
                         const std::string &track_name)
 {
     tracer = &rec;
-    traceTrack = rec.track(track_name);
-    lblMiss = rec.label("dc_miss");
-    lblEvict = rec.label("dc_evict");
+    wiring.track = rec.track(track_name);
+    wiring.miss = rec.label("dc_miss");
+    wiring.evict = rec.label("dc_evict");
     dram.attachTracer(rec, track_name + ".dram");
 }
 
@@ -143,7 +143,7 @@ DramCache::fillArrived(Addr line)
     for (std::size_t i = 0; i < fetching.size(); ++i) {
         if (fetching[i].first == line) {
             if (tracer) [[unlikely]] {
-                tracer->span(traceTrack, lblMiss,
+                tracer->span(wiring.track, wiring.miss,
                              fetching[i].second, now);
             }
             fetching[i] = fetching.back();
@@ -178,7 +178,7 @@ DramCache::installLine(Addr line, bool dirty)
         dirtyEvicts.inc();
         if (tracer) [[unlikely]] {
             Tick now = eventq.curTick();
-            tracer->span(traceTrack, lblEvict, now,
+            tracer->span(wiring.track, wiring.evict, now,
                          now + nsToTicks(cfg.busCmdNs +
                                          cfg.busDataPer64bNs));
         }

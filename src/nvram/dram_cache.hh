@@ -133,7 +133,7 @@ class DramCache
     /**
      * Serialize the tag/dirty metadata (sparse, set order), stats
      * and the cache DIMM controller. Requires quiescent(): MSHRs,
-     * waiters and the writeback queue are provably empty at capture.
+     * waiters and the writeback queue are empty at capture.
      */
     void serialize(snapshot::Archive &ar);
 
@@ -183,14 +183,10 @@ class DramCache
     void dramWrite(Addr line);
 
     EventQueue &eventq; ///< The owning channel's queue.
-    // simlint-transient(construction-time configuration: capture and
-    // restore worlds are built from the same NvramConfig)
-    NvramConfig cfg;
+    const NvramConfig cfg;
     NvramDimm &nvm;
 
-    // simlint-transient(derived from cfg.dcacheCapacity at
-    // construction; a restore REQUIREs the stream to match)
-    std::uint64_t numSets;
+    const std::uint64_t numSets;
     /** Per-set tag: the full line address cached in the set. */
     std::vector<Addr> tags;
     /** Per-set kValid/kDirty bits. */
@@ -199,13 +195,9 @@ class DramCache
     /** Lines with an outstanding NVM fetch and its start tick (the
      *  MSHR set; linear scan over <= rpqEntries lines, reserved at
      *  construction). */
-    // simlint-transient(provably empty at capture: quiescent() is
-    // the snapshot precondition)
     std::vector<std::pair<Addr, Tick>> fetching;
     /** Reads blocked on an outstanding fetch, insertion-ordered per
      *  line like the iMC's wpqReadHazards. */
-    // simlint-transient(waiters require a fetching entry, and the
-    // MSHR set is empty at quiescence)
     std::vector<std::pair<Addr, DoneCallback>> missWaiters;
     /** Fill-time staging for released waiters, hoisted out of
      *  fillArrived so the event path reuses its capacity. */
@@ -214,19 +206,13 @@ class DramCache
     std::vector<DoneCallback> waiterScratch;
 
     /** Writebacks and write-throughs queued toward the NVM DIMM. */
-    // simlint-transient(provably empty at capture: writeQuiescent()
-    // folds into quiescent(), the snapshot precondition)
     FifoRing<Addr> nvmWbQueue;
-    // simlint-transient(provably false at capture: quiescent() is
-    // the snapshot precondition)
     bool nvmDrainBusy = false;
     /** WPQ admission closes while this many writebacks queue up. */
     static constexpr std::size_t nvmWbWindow = 16;
 
     /** Background DRAM array writes in flight (fills and clean
      *  copy-updates). */
-    // simlint-transient(provably 0 at capture: quiescent() counts
-    // them)
     std::uint32_t outstandingDramWrites = 0;
 
     StatGroup statGroup;
@@ -245,13 +231,14 @@ class DramCache
     dram::DramController dram;
 
     obs::TraceRecorder *tracer = nullptr;
-    // simlint-transient(trace wiring assigned by attachTracer after
-    // construction; a restored world re-attaches its own recorder)
-    std::uint16_t traceTrack = 0;
-    // simlint-transient(trace label id, re-interned on attachTracer)
-    std::uint16_t lblMiss = 0;
-    // simlint-transient(trace label id, re-interned on attachTracer)
-    std::uint16_t lblEvict = 0;
+    /** Trace ids, refilled by attachTracer. */
+    struct TraceWiring
+    {
+        std::uint16_t track = 0;
+        std::uint16_t miss = 0;
+        std::uint16_t evict = 0;
+    };
+    TraceWiring wiring;
 };
 
 } // namespace vans::nvram

@@ -20,10 +20,10 @@ Lsq::attachTracer(obs::TraceRecorder &rec,
                   const std::string &track_name)
 {
     tracer = &rec;
-    traceTrack = rec.track(track_name);
-    lblDrain = rec.label("group_drain");
-    lblHazard = rec.label("raw_hazard");
-    lblOccupancy = rec.label("occupancy");
+    wiring.track = rec.track(track_name);
+    wiring.drain = rec.label("group_drain");
+    wiring.hazard = rec.label("raw_hazard");
+    wiring.occupancy = rec.label("occupancy");
 }
 
 bool
@@ -60,7 +60,7 @@ Lsq::acceptWrite(Addr addr)
         }
         g.lastTouch = now;
         if (tracer) [[unlikely]]
-            tracer->counter(traceTrack, lblOccupancy, now,
+            tracer->counter(wiring.track, wiring.occupancy, now,
                             static_cast<double>(numEntries));
         if (groupFull(g))
             scheduleDrainCheck(now);
@@ -81,7 +81,7 @@ Lsq::acceptWrite(Addr addr)
     ++numEntries;
     writes.inc();
     if (tracer) [[unlikely]]
-        tracer->counter(traceTrack, lblOccupancy, now,
+        tracer->counter(wiring.track, wiring.occupancy, now,
                         static_cast<double>(numEntries));
     if (groupFull(g))
         scheduleDrainCheck(now);
@@ -134,7 +134,7 @@ Lsq::readProbe(Addr addr, DoneCallback hazard_done)
     // read until the data reaches the RMW buffer.
     rawHazards.inc();
     if (tracer) [[unlikely]]
-        tracer->instant(traceTrack, lblHazard, eventq.curTick(),
+        tracer->instant(wiring.track, wiring.hazard, eventq.curTick(),
                         addr);
     g.sealed = true;
     g.hazardWaiters.push_back(std::move(hazard_done));
@@ -167,13 +167,12 @@ void
 Lsq::scheduleDrainCheck(Tick when)
 {
     when = std::max(when, eventq.curTick());
-    if (drainCheckScheduled && drainCheckAt <= when)
+    if (drainCheckAt <= when)
         return;
-    drainCheckScheduled = true;
     drainCheckAt = when;
     eventq.schedule(when, [this, when] {
-        if (drainCheckScheduled && drainCheckAt == when) {
-            drainCheckScheduled = false;
+        if (drainCheckAt == when) {
+            drainCheckAt = never;
             drain();
         }
     });
@@ -270,7 +269,7 @@ Lsq::startGroupDrain(Group &g)
     ++drainLatch;
     Tick drain_start = eventq.curTick();
     if (tracer) [[unlikely]]
-        tracer->counter(traceTrack, lblOccupancy, drain_start,
+        tracer->counter(wiring.track, wiring.occupancy, drain_start,
                         static_cast<double>(numEntries));
 
     rmw.acceptWrite(
@@ -279,8 +278,8 @@ Lsq::startGroupDrain(Group &g)
          waiters = std::move(waiters)](Tick t) mutable {
             --drainLatch;
             if (tracer) [[unlikely]]
-                tracer->spanAddr(traceTrack, lblDrain, drain_start,
-                                 t, block);
+                tracer->spanAddr(wiring.track, wiring.drain,
+                                 drain_start, t, block);
             for (auto &w : waiters) {
                 if (w)
                     w(t);
@@ -294,9 +293,7 @@ Lsq::startGroupDrain(Group &g)
 void
 Lsq::serialize(snapshot::Archive &ar)
 {
-    VANS_REQUIRE("lsq", eventq.curTick(),
-                 writeQuiescent() && !drainCheckScheduled &&
-                     numEntries == 0,
+    VANS_REQUIRE("lsq", eventq.curTick(), quiescent(),
                  "snapshot of a non-quiescent LSQ");
     ar.tag("lsq");
     statGroup.serialize(ar);

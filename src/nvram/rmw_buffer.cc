@@ -20,10 +20,10 @@ RmwBuffer::attachTracer(obs::TraceRecorder &rec,
                         const std::string &track_name)
 {
     tracer = &rec;
-    traceTrack = rec.track(track_name);
-    lblFill = rec.label("rmw_fill");
-    lblReadMiss = rec.label("read_miss");
-    lblOccupancy = rec.label("occupancy");
+    wiring.track = rec.track(track_name);
+    wiring.fill = rec.label("rmw_fill");
+    wiring.readMiss = rec.label("read_miss");
+    wiring.occupancy = rec.label("occupancy");
 }
 
 RmwBuffer::Entry *
@@ -94,7 +94,7 @@ RmwBuffer::read(Addr addr, DoneCallback done)
 
     readMisses.inc();
     if (tracer) [[unlikely]]
-        tracer->instant(traceTrack, lblReadMiss, eventq.curTick(),
+        tracer->instant(wiring.track, wiring.readMiss, eventq.curTick(),
                         addr);
     if (!makeRoom()) {
         // All entries hold staged writes: serve the read from the
@@ -215,7 +215,7 @@ RmwBuffer::acceptWrite(Addr addr, std::uint32_t bytes,
     ne.dirtyBytes = bytes;
     ne.writeStaging = true;
     if (tracer) [[unlikely]]
-        tracer->counter(traceTrack, lblOccupancy, eventq.curTick(),
+        tracer->counter(wiring.track, wiring.occupancy, eventq.curTick(),
                         static_cast<double>(entries.size()));
     if (bytes >= cfg.rmwLineBytes) {
         // Full-line write: no fill needed (this is what LSQ write
@@ -232,7 +232,7 @@ RmwBuffer::acceptWrite(Addr addr, std::uint32_t bytes,
             ait.readForFill(line, [this, line, fill_start](Tick t) {
                 --writeFillsInFlight;
                 if (tracer) [[unlikely]]
-                    tracer->spanAddr(traceTrack, lblFill, fill_start,
+                    tracer->spanAddr(wiring.track, wiring.fill, fill_start,
                                      t, line);
                 Entry *e2 = find(line);
                 if (e2 && e2->state == State::Filling) {
@@ -301,7 +301,7 @@ RmwBuffer::finishWrite(Entry &e, Tick)
         // shows the real device does not do.
         entries.erase(e.line);
         if (tracer) [[unlikely]]
-            tracer->counter(traceTrack, lblOccupancy,
+            tracer->counter(wiring.track, wiring.occupancy,
                             eventq.curTick(),
                             static_cast<double>(entries.size()));
         return;
@@ -341,7 +341,9 @@ RmwBuffer::quiescent() const
     if (!writeQuiescent() || writeFillsInFlight != 0)
         return false;
     for (const auto &kv : entries) {
-        if (kv.second.state != State::Clean)
+        const Entry &e = kv.second;
+        if (e.state != State::Clean || e.dirtyBytes != 0 ||
+            !e.mergeWaiters.empty())
             return false;
     }
     return true;
@@ -350,18 +352,13 @@ RmwBuffer::quiescent() const
 void
 RmwBuffer::serialize(snapshot::Archive &ar)
 {
-    VANS_REQUIRE("rmw", eventq.curTick(),
-                 writeQuiescent() && writeFillsInFlight == 0,
+    VANS_REQUIRE("rmw", eventq.curTick(), quiescent(),
                  "snapshot of a non-quiescent RMW buffer");
     ar.tag("rmw");
     // The clean-LRU sequence is serialized verbatim (it may hold
     // stale addrs -- that laziness is model behavior and must
     // survive).
     ar.sortedMap(entries, [&](Addr line, Entry &e) {
-        VANS_REQUIRE("rmw", eventq.curTick(),
-                     e.state == State::Clean && e.mergeWaiters.empty(),
-                     "non-clean entry %llx at snapshot",
-                     static_cast<unsigned long long>(line));
         if (ar.loading())
             e.line = line;
         ar(e.writeStaging, e.inCleanLru);

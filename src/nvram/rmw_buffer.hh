@@ -23,12 +23,12 @@
 #define VANS_NVRAM_RMW_BUFFER_HH
 
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <unordered_map>
 #include <vector>
 
 #include "common/event_queue.hh"
+#include "common/fifo_ring.hh"
 #include "common/inplace_function.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -71,7 +71,8 @@ class RmwBuffer
     /** True when no dirty data is staged or queued toward the AIT. */
     bool writeQuiescent() const;
 
-    /** Snapshot precondition: every entry Clean, no fills open. */
+    /** Snapshot precondition: every entry Clean with no dirty bytes
+     *  or waiters, no fills open. */
     bool quiescent() const;
 
     /** Resident-line count (tests and probers). */
@@ -92,8 +93,7 @@ class RmwBuffer
 
     /**
      * Serialize resident entries (sorted by line), the clean-LRU
-     * sequence verbatim, and stats. Requires full quiescence: no
-     * staged writes, no fills in flight, every entry Clean. A restore
+     * sequence verbatim, and stats. Requires quiescent(). A restore
      * REQUIREs the entries to fit this buffer's rmw_entries.
      */
     void serialize(snapshot::Archive &ar);
@@ -111,9 +111,6 @@ class RmwBuffer
     {
         Addr line;
         State state = State::Clean;
-        // simlint-transient(serialize REQUIREs every entry Clean,
-        // and clean entries have no dirty bytes; a restored entry
-        // starts at zero)
         std::uint32_t dirtyBytes = 0;
         /** Entry exists only to stage a write: freed after issue.
          *  Read-fill entries are retained clean instead -- the RMW
@@ -121,9 +118,6 @@ class RmwBuffer
          *  writes (paper: "issues FIFO requests to the AIT"). */
         bool writeStaging = false;
         bool inCleanLru = false; ///< Present in the LRU list.
-        // simlint-transient(waiters exist only on in-flight entries;
-        // serialize REQUIREs every entry Clean with
-        // mergeWaiters.empty())
         std::vector<DoneCallback> mergeWaiters;
     };
 
@@ -146,20 +140,13 @@ class RmwBuffer
     std::size_t countedClean() const;
 
     EventQueue &eventq;
-    // simlint-transient(construction-time configuration: capture and
-    // restore worlds are built from the same NvramConfig)
-    NvramConfig cfg;
+    const NvramConfig cfg;
     Ait &ait;
 
     std::unordered_map<Addr, Entry> entries;
     std::list<Addr> cleanLru;          ///< Front = most recent.
     std::size_t cleanCount = 0;        ///< Entries in State::Clean.
-    // simlint-transient(holds dirty lines only; writeQuiescent --
-    // the snapshot precondition in both directions -- means none
-    // exist)
-    std::deque<Addr> issueFifo;        ///< Dirty lines, FIFO to AIT.
-    // simlint-transient(provably false at capture: the issue engine
-    // runs only while issueFifo is non-empty)
+    FifoRing<Addr> issueFifo;          ///< Dirty lines, FIFO to AIT.
     bool issueBusy = false;
     /** Write-staging fills in flight. The staging pipeline is FIFO
      *  (paper section IV-A), so an open read-modify-write fill
@@ -177,15 +164,15 @@ class RmwBuffer
     StatScalar rmwFills{statGroup, "rmw_fills"};
 
     obs::TraceRecorder *tracer = nullptr;
-    // simlint-transient(trace wiring assigned by attachTracer after
-    // construction; a restored world re-attaches its own recorder)
-    std::uint16_t traceTrack = 0;
-    // simlint-transient(trace label id, re-interned on attachTracer)
-    std::uint16_t lblFill = 0;
-    // simlint-transient(trace label id, re-interned on attachTracer)
-    std::uint16_t lblReadMiss = 0;
-    // simlint-transient(trace label id, re-interned on attachTracer)
-    std::uint16_t lblOccupancy = 0;
+    /** Trace ids, refilled by attachTracer. */
+    struct TraceWiring
+    {
+        std::uint16_t track = 0;
+        std::uint16_t fill = 0;
+        std::uint16_t readMiss = 0;
+        std::uint16_t occupancy = 0;
+    };
+    TraceWiring wiring;
 };
 
 } // namespace vans::nvram

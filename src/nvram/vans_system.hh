@@ -108,12 +108,8 @@ class VansSystem : public MemorySystem
     persist::PersistenceChecker *persistenceChecker() override;
 
   private:
-    // simlint-transient(construction-time configuration: capture and
-    // restore worlds are built from the same NvramConfig)
-    NvramConfig cfg;
-    // simlint-transient(construction-time name; a restore REQUIREs
-    // the stream's stat-group names to match, which pins it)
-    std::string sysName;
+    const NvramConfig cfg;
+    const std::string sysName;
     Imc imcModel;
     /** Set by powerFail(): the world is dead -- it accepts no more
      *  issues and skips teardown audits (in-flight requests never

@@ -18,15 +18,15 @@ WearLeveler::attachTracer(obs::TraceRecorder &rec,
                           const std::string &track_name)
 {
     tracer = &rec;
-    traceTrack = rec.track(track_name);
-    lblMigration = rec.label("migration");
+    wiring.track = rec.track(track_name);
+    wiring.migration = rec.label("migration");
 }
 
 std::uint64_t
 WearLeveler::migrationFlowId(Addr addr) const
 {
-    auto it = migrationFlows.find(blockOf(addr));
-    return it == migrationFlows.end() ? 0 : it->second;
+    auto it = wiring.flows.find(blockOf(addr));
+    return it == wiring.flows.end() ? 0 : it->second;
 }
 
 void
@@ -64,15 +64,15 @@ WearLeveler::onMediaWrite(Addr addr)
         // at its start so downstream stall slices (AIT track) can
         // draw the causality arrow back to this migration.
         Tick now = eventq.curTick();
-        tracer->spanAddr(traceTrack, lblMigration, now, end,
+        tracer->spanAddr(wiring.track, wiring.migration, now, end,
                          block * cfg.wearBlockBytes);
-        migrationFlows[block] =
-            tracer->flowBegin(traceTrack, lblMigration, now);
+        wiring.flows[block] =
+            tracer->flowBegin(wiring.track, wiring.migration, now);
     }
     eventq.schedule(end, [this, block] {
         migrating.erase(block);
         if (tracer) [[unlikely]]
-            migrationFlows.erase(block);
+            wiring.flows.erase(block);
     });
     if (onMigration)
         onMigration(block * cfg.wearBlockBytes, wear);

@@ -115,9 +115,7 @@ class WearLeveler
     Addr blockOf(Addr addr) const { return addr / cfg.wearBlockBytes; }
 
     EventQueue &eventq;
-    // simlint-transient(construction-time configuration: capture and
-    // restore worlds are built from the same NvramConfig)
-    NvramConfig cfg;
+    const NvramConfig cfg;
     std::unordered_map<Addr, std::uint64_t> wearCount;
     std::unordered_map<Addr, Tick> migrating; ///< block -> end tick.
     StatGroup statGroup;
@@ -125,16 +123,15 @@ class WearLeveler
     StatScalar migrationCount{statGroup, "migrations"};
 
     obs::TraceRecorder *tracer = nullptr;
-    // simlint-transient(trace wiring assigned by attachTracer after
-    // construction; a restored world re-attaches its own recorder)
-    std::uint16_t traceTrack = 0;
-    // simlint-transient(trace label id, re-interned on attachTracer)
-    std::uint16_t lblMigration = 0;
-    /** block -> open migration flow id (traced runs only). */
-    // simlint-transient(open trace flows track in-flight migrations,
-    // and serialize REQUIREs migrating.empty; a restored world
-    // records a fresh trace anyway)
-    std::unordered_map<Addr, std::uint64_t> migrationFlows;
+    /** Trace ids, refilled by attachTracer, and the open flows. */
+    struct TraceWiring
+    {
+        std::uint16_t track = 0;
+        std::uint16_t migration = 0;
+        /** block -> open migration flow id. */
+        std::unordered_map<Addr, std::uint64_t> flows;
+    };
+    TraceWiring wiring;
 };
 
 } // namespace vans::nvram
