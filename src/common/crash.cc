@@ -118,18 +118,6 @@ PersistenceChecker::state(Addr line) const
 }
 
 std::size_t
-PersistenceChecker::dirtyLines() const
-{
-    std::size_t n = 0;
-    for (const auto &[line, l] : lineMap) {
-        (void)line;
-        if (l.st == LineState::Dirty)
-            ++n;
-    }
-    return n;
-}
-
-std::size_t
 PersistenceChecker::durableLines() const
 {
     std::size_t n = 0;

@@ -135,7 +135,6 @@ class PersistenceChecker
 
     LineState state(Addr line) const;
 
-    std::size_t dirtyLines() const;
     std::size_t durableLines() const;
 
     /** Violations reported so far. */

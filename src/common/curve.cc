@@ -130,16 +130,6 @@ Curve::minY() const
     return m;
 }
 
-std::string
-Curve::toTable() const
-{
-    std::ostringstream out;
-    out << "# " << label << '\n';
-    for (const auto &p : pts)
-        out << p.x << ' ' << p.y << '\n';
-    return out.str();
-}
-
 std::vector<std::uint64_t>
 logSweep(std::uint64_t lo, std::uint64_t hi, unsigned factor)
 {

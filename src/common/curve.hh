@@ -81,9 +81,6 @@ class Curve
     /** Minimum y over all points (0 on empty). */
     double minY() const;
 
-    /** Render as "# label" + "x y" rows. */
-    std::string toTable() const;
-
   private:
     std::vector<CurvePoint> pts;
     std::string label;

@@ -89,10 +89,4 @@ setQuiet(bool quiet)
     quietFlag.store(quiet, std::memory_order_relaxed);
 }
 
-bool
-isQuiet()
-{
-    return quietFlag.load(std::memory_order_relaxed);
-}
-
 } // namespace vans

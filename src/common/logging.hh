@@ -37,9 +37,6 @@ void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /** Suppress warn()/inform() output (used by tests and sweeps). */
 void setQuiet(bool quiet);
 
-/** @return true when warn()/inform() output is suppressed. */
-bool isQuiet();
-
 } // namespace vans
 
 #endif // VANS_COMMON_LOGGING_HH

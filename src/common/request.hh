@@ -56,13 +56,6 @@ isWrite(MemOp op)
            op == MemOp::Clwb || op == MemOp::Clflushopt;
 }
 
-/** @return true for the fence-kind operations. */
-constexpr bool
-isFence(MemOp op)
-{
-    return op == MemOp::Fence || op == MemOp::Sfence;
-}
-
 /** Human-readable name of a MemOp. */
 const char *memOpName(MemOp op);
 

@@ -55,7 +55,6 @@ class CommandTrace
     }
 
     void setEnabled(bool on) { enabled = on; }
-    bool isEnabled() const { return enabled; }
     const std::vector<DramCommand> &commands() const { return cmds; }
     void clear() { cmds.clear(); }
 

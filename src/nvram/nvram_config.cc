@@ -1,5 +1,8 @@
 #include "nvram/nvram_config.hh"
 
+#include <set>
+#include <type_traits>
+
 #include "common/logging.hh"
 
 namespace vans::nvram
@@ -78,65 +81,70 @@ NvramConfig
 NvramConfig::fromConfig(const Config &cfg)
 {
     NvramConfig c;
-    const std::string s = "nvram";
-    std::string mode = cfg.get(s, "mode", "app_direct");
+    // Every key is read through get(), which notes it: a key in these
+    // sections that nothing read is a misspelling, not a default.
+    std::set<std::string> read;
+    auto get = [&cfg, &read](const char *sec, const char *key, auto dflt) {
+        using T = decltype(dflt);
+        read.insert(std::string(sec) + "." + key);
+        if constexpr (std::is_same_v<T, bool>)
+            return cfg.getBool(sec, key, dflt);
+        else if constexpr (std::is_floating_point_v<T>)
+            return cfg.getDouble(sec, key, dflt);
+        else if constexpr (std::is_integral_v<T>)
+            return static_cast<T>(cfg.getU64(sec, key, dflt));
+        else
+            return cfg.get(sec, key, dflt);
+    };
+    const char *s = "nvram";
+    std::string mode = get(s, "mode", std::string("app_direct"));
     if (mode == "memory") {
         c.mode = SystemMode::Memory;
     } else if (mode != "app_direct" && mode != "appdirect") {
         fatal("[nvram] mode must be app_direct or memory (got %s)",
               mode.c_str());
     }
-    c.dcacheCapacity =
-        cfg.getU64(s, "dcache_capacity", c.dcacheCapacity);
-    c.numDimms = static_cast<unsigned>(
-        cfg.getU64(s, "num_dimms", c.numDimms));
-    c.interleaved = cfg.getBool(s, "interleaved", c.interleaved);
-    c.interleaveBytes =
-        cfg.getU64(s, "interleave_bytes", c.interleaveBytes);
-    c.dimmCapacity = cfg.getU64(s, "dimm_capacity", c.dimmCapacity);
-    c.wpqEntries = static_cast<unsigned>(
-        cfg.getU64(s, "wpq_entries", c.wpqEntries));
-    c.rpqEntries = static_cast<unsigned>(
-        cfg.getU64(s, "rpq_entries", c.rpqEntries));
-    c.coreToImcNs = cfg.getDouble(s, "core_to_imc_ns", c.coreToImcNs);
-    c.busCmdNs = cfg.getDouble(s, "bus_cmd_ns", c.busCmdNs);
-    c.busDataPer64bNs =
-        cfg.getDouble(s, "bus_data_per_64b_ns", c.busDataPer64bNs);
-    c.busTurnaroundNs =
-        cfg.getDouble(s, "bus_turnaround_ns", c.busTurnaroundNs);
-    c.wpqGrantNs = cfg.getDouble(s, "wpq_grant_ns", c.wpqGrantNs);
-    c.lsqEntries = static_cast<unsigned>(
-        cfg.getU64(s, "lsq_entries", c.lsqEntries));
-    c.lsqProbeNs = cfg.getDouble(s, "lsq_probe_ns", c.lsqProbeNs);
-    c.lsqEpochNs = cfg.getDouble(s, "lsq_epoch_ns", c.lsqEpochNs);
-    c.rmwEntries = static_cast<unsigned>(
-        cfg.getU64(s, "rmw_entries", c.rmwEntries));
-    c.rmwLineBytes = static_cast<std::uint32_t>(
-        cfg.getU64(s, "rmw_line_bytes", c.rmwLineBytes));
-    c.rmwAccessNs = cfg.getDouble(s, "rmw_access_ns", c.rmwAccessNs);
-    c.aitBufEntries = static_cast<unsigned>(
-        cfg.getU64(s, "ait_buf_entries", c.aitBufEntries));
-    c.aitLineBytes = static_cast<std::uint32_t>(
-        cfg.getU64(s, "ait_line_bytes", c.aitLineBytes));
-    c.aitTagNs = cfg.getDouble(s, "ait_tag_ns", c.aitTagNs);
-    c.mediaChunkBytes = static_cast<std::uint32_t>(
-        cfg.getU64(s, "media_chunk_bytes", c.mediaChunkBytes));
-    c.mediaPartitions = static_cast<unsigned>(
-        cfg.getU64(s, "media_partitions", c.mediaPartitions));
-    c.mediaReadNs = cfg.getDouble(s, "media_read_ns", c.mediaReadNs);
-    c.mediaWriteNs = cfg.getDouble(s, "media_write_ns", c.mediaWriteNs);
-    c.wearBlockBytes =
-        cfg.getU64(s, "wear_block_bytes", c.wearBlockBytes);
-    c.wearThreshold = cfg.getU64(s, "wear_threshold", c.wearThreshold);
-    c.migrationUs = cfg.getDouble(s, "migration_us", c.migrationUs);
-    c.dimmCtrlNs = cfg.getDouble(s, "dimm_ctrl_ns", c.dimmCtrlNs);
-    c.clwbExtraNs = cfg.getDouble(s, "clwb_extra_ns", c.clwbExtraNs);
-    c.wcBufferBytes = static_cast<std::uint32_t>(
-        cfg.getU64(s, "wc_buffer_bytes", c.wcBufferBytes));
+    c.dcacheCapacity = get(s, "dcache_capacity", c.dcacheCapacity);
+    c.numDimms = get(s, "num_dimms", c.numDimms);
+    c.interleaved = get(s, "interleaved", c.interleaved);
+    c.interleaveBytes = get(s, "interleave_bytes", c.interleaveBytes);
+    c.dimmCapacity = get(s, "dimm_capacity", c.dimmCapacity);
+    c.wpqEntries = get(s, "wpq_entries", c.wpqEntries);
+    c.rpqEntries = get(s, "rpq_entries", c.rpqEntries);
+    c.coreToImcNs = get(s, "core_to_imc_ns", c.coreToImcNs);
+    c.busCmdNs = get(s, "bus_cmd_ns", c.busCmdNs);
+    c.busDataPer64bNs = get(s, "bus_data_per_64b_ns", c.busDataPer64bNs);
+    c.busTurnaroundNs = get(s, "bus_turnaround_ns", c.busTurnaroundNs);
+    c.wpqGrantNs = get(s, "wpq_grant_ns", c.wpqGrantNs);
+    c.lsqEntries = get(s, "lsq_entries", c.lsqEntries);
+    c.lsqProbeNs = get(s, "lsq_probe_ns", c.lsqProbeNs);
+    c.lsqEpochNs = get(s, "lsq_epoch_ns", c.lsqEpochNs);
+    c.rmwEntries = get(s, "rmw_entries", c.rmwEntries);
+    c.rmwLineBytes = get(s, "rmw_line_bytes", c.rmwLineBytes);
+    c.rmwAccessNs = get(s, "rmw_access_ns", c.rmwAccessNs);
+    c.aitBufEntries = get(s, "ait_buf_entries", c.aitBufEntries);
+    c.aitLineBytes = get(s, "ait_line_bytes", c.aitLineBytes);
+    c.aitTagNs = get(s, "ait_tag_ns", c.aitTagNs);
+    c.mediaChunkBytes = get(s, "media_chunk_bytes", c.mediaChunkBytes);
+    c.mediaPartitions = get(s, "media_partitions", c.mediaPartitions);
+    c.mediaReadNs = get(s, "media_read_ns", c.mediaReadNs);
+    c.mediaWriteNs = get(s, "media_write_ns", c.mediaWriteNs);
+    c.wearBlockBytes = get(s, "wear_block_bytes", c.wearBlockBytes);
+    c.wearThreshold = get(s, "wear_threshold", c.wearThreshold);
+    c.migrationUs = get(s, "migration_us", c.migrationUs);
+    c.dimmCtrlNs = get(s, "dimm_ctrl_ns", c.dimmCtrlNs);
+    c.clwbExtraNs = get(s, "clwb_extra_ns", c.clwbExtraNs);
+    c.wcBufferBytes = get(s, "wc_buffer_bytes", c.wcBufferBytes);
     c.wcPartialDrainNs =
-        cfg.getDouble(s, "wc_partial_drain_ns", c.wcPartialDrainNs);
-    c.verify = cfg.getBool(s, "verify", c.verify);
-    c.trace = cfg.getBool("trace", "enable", c.trace);
+        get(s, "wc_partial_drain_ns", c.wcPartialDrainNs);
+    c.verify = get(s, "verify", c.verify);
+    c.trace = get("trace", "enable", c.trace);
+    for (const char *sec : {"nvram", "trace"}) {
+        for (const std::string &key : cfg.keys(sec)) {
+            if (!read.count(std::string(sec) + "." + key))
+                fatal("[%s] unknown key '%s'", sec, key.c_str());
+        }
+    }
     // Reject malformed topologies at parse time, before any world is
     // built from this configuration.
     c.validate();

@@ -13,7 +13,9 @@
  *    not survive a write -> read -> write round trip;
  *  - NvramConfig::validate accepted sizes, queue depths and a hop
  *    latency no world can run with: SIGFPEs, hangs and mid-run
- *    panics instead of a parse-time error naming the key.
+ *    panics instead of a parse-time error naming the key;
+ *  - NvramConfig::fromConfig ignored an [nvram] or [trace] key it
+ *    did not read, so a misspelled key ran on the default.
  */
 
 #include <gtest/gtest.h>
@@ -212,6 +214,19 @@ TEST(NvramConfig, EveryShippedConfigParses)
         ++parsed;
     }
     EXPECT_GE(parsed, 4u);
+}
+
+// A misspelled key used to be ignored: with rmw_entriesz = 64, fig09
+// ran on the default rmw_entries and still passed.
+TEST(UnknownConfigKeyDeathTest, RejectedAtParseNamingTheKey)
+{
+    setQuiet(true);
+    Config nv = Config::fromString("[nvram]\nrmw_entriesz = 64\n");
+    EXPECT_DEATH(nvram::NvramConfig::fromConfig(nv),
+                 "\\[nvram\\] unknown key 'rmw_entriesz'");
+    Config tr = Config::fromString("[trace]\nenabled = true\n");
+    EXPECT_DEATH(nvram::NvramConfig::fromConfig(tr),
+                 "\\[trace\\] unknown key 'enabled'");
 }
 
 // ---- Trace file round trip ------------------------------------------
