@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
 """Seeded-fault check: does snapshotcover catch a real dropped field?
 
-Takes a REAL component (src/dram/controller.{hh,cc}), copies it into
-a scratch tree, and drops one member from its serialize body
-(``dataBusFree`` from ``ar(lastWrDataEnd, dataBusFree, cmdBusFree);``)
--- exactly the bug class the rule exists for: a member neither
-captured nor restored, so a forked world silently keeps the fresh
-world's value.
+Takes REAL components, copies each into a scratch tree, and seeds one
+fault per component -- exactly the bug class the rule exists for: a
+member neither captured nor checked, so a forked world silently keeps
+the fresh world's value.
 
-Asserts, in order:
+  - src/dram/controller.{hh,cc}: drop ``dataBusFree`` from
+    ``ar(lastWrDataEnd, dataBusFree, cmdBusFree);`` in serialize;
+  - src/nvram/imc.{hh,cc}: drop ``ch.pendingArrivals != 0 ||`` from
+    Imc::quiescent(), the predicate Imc::serialize REQUIREs -- the
+    in-flight arrival count nothing else proves zero at capture.
+
+Asserts, per fault, in order:
 
   1. the unmodified copy is clean under snapshotcover (the scratch
-     tree reproduces the annotated real component faithfully);
-  2. after the deletion, snapshotcover reports the dropped member by
-     name, on the member's declaration line;
+     tree reproduces the real component faithfully);
+  2. after the edit, snapshotcover reports exactly one finding, naming
+     the dropped member, on its declaration in the header;
   3. with snapshotcover disabled, the mutated tree reports nothing --
      the detection is attributable to the rule under test.
 
@@ -33,10 +37,15 @@ sys.path.insert(0, str(TOOLS))
 from simlint import model, rules  # noqa: E402
 
 REPO = TOOLS.parent
-COMPONENT = ("src/dram/controller.hh", "src/dram/controller.cc")
-FAULT_LINE = "ar(lastWrDataEnd, dataBusFree, cmdBusFree);"
-SEEDED_LINE = "ar(lastWrDataEnd, cmdBusFree);"
-FAULT_MEMBER = "dataBusFree"
+
+# (header, source holding the fault, fault text, seeded text, member)
+FAULTS = (
+    ("src/dram/controller.hh", "src/dram/controller.cc",
+     "ar(lastWrDataEnd, dataBusFree, cmdBusFree);",
+     "ar(lastWrDataEnd, cmdBusFree);", "dataBusFree"),
+    ("src/nvram/imc.hh", "src/nvram/imc.cc",
+     "if (ch.pendingArrivals != 0 || ", "if (", "pendingArrivals"),
+)
 
 
 def scan(root, rule_names):
@@ -53,57 +62,60 @@ def fmt(findings):
                      for f in findings) or "<none>"
 
 
-def main():
-    errors = []
+def check(header, source, fault, seeded, member, errors):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for rel in COMPONENT:
+        for rel in (header, source):
             dst = root / rel
             dst.parent.mkdir(parents=True, exist_ok=True)
             shutil.copyfile(str(REPO / rel), str(dst))
 
         clean = scan(root, {"snapshotcover"})
         if clean:
-            errors.append("pristine copy not clean: %s" % fmt(clean))
+            errors.append("%s: pristine copy not clean: %s"
+                          % (member, fmt(clean)))
 
-        cc = root / COMPONENT[1]
+        cc = root / source
         text = cc.read_text(encoding="utf-8")
-        if text.count(FAULT_LINE) != 1:
-            errors.append("fault line %r not found once in %s -- "
-                          "update FAULT_LINE to match the component"
-                          % (FAULT_LINE, COMPONENT[1]))
-        cc.write_text(text.replace(FAULT_LINE, SEEDED_LINE),
-                      encoding="utf-8")
+        if text.count(fault) != 1:
+            errors.append("fault text %r not found once in %s -- "
+                          "update FAULTS to match the component"
+                          % (fault, source))
+        cc.write_text(text.replace(fault, seeded), encoding="utf-8")
 
         got = scan(root, {"snapshotcover"})
         hits = [f for f in got if f.rule == "snapshotcover"
-                and FAULT_MEMBER in f.message]
+                and "'%s'" % member in f.message]
         if len(got) != 1 or len(hits) != 1:
             errors.append(
                 "seeded fault: expected exactly 1 snapshotcover "
-                "finding naming %r, got: %s" % (FAULT_MEMBER,
-                                                fmt(got)))
-        elif hits[0].file != COMPONENT[0]:
+                "finding naming %r, got: %s" % (member, fmt(got)))
+        elif hits[0].file != header:
             errors.append("seeded fault: finding should anchor on "
                           "the member declaration in %s, got %s:%d"
-                          % (COMPONENT[0], hits[0].file,
-                             hits[0].line))
+                          % (header, hits[0].file, hits[0].line))
 
         others = set(rules.ALL_RULES) - {"snapshotcover"}
         leaked = [f for f in scan(root, others)
-                  if FAULT_MEMBER in f.message]
+                  if member in f.message]
         if leaked:
             errors.append("rule disabled but the fault still "
                           "reported (attribution broken): %s"
                           % fmt(leaked))
 
+
+def main():
+    errors = []
+    for fault in FAULTS:
+        check(*fault, errors)
     if errors:
         for e in errors:
             print("FAIL: %s" % e)
         print("simlint_faultcheck: %d failure(s)" % len(errors))
         return 1
-    print("simlint_faultcheck: seeded '%s' drop in %s caught by "
-          "snapshotcover only: OK" % (FAULT_MEMBER, COMPONENT[1]))
+    print("simlint_faultcheck: seeded %s caught by snapshotcover "
+          "only: OK" % ", ".join("'%s' drop in %s" % (f[4], f[1])
+                                 for f in FAULTS))
     return 0
 
 
