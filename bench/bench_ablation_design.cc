@@ -120,15 +120,16 @@ main()
     TextTable t4({"threshold", "measured interval (writes)"});
     bool linear = true;
     for (std::uint64_t thr : {1000ull, 2000ull, 4000ull}) {
-        nvram::NvramConfig cfg = nvram::NvramConfig::optaneDefault();
-        cfg.wearThreshold = thr;
-        EventQueue eq;
-        nvram::VansSystem sys(eq, cfg);
-        lens::Driver drv(sys);
+        SystemFactory factory = [thr](EventQueue &eq) {
+            nvram::NvramConfig cfg =
+                nvram::NvramConfig::optaneDefault();
+            cfg.wearThreshold = thr;
+            return std::make_unique<nvram::VansSystem>(eq, cfg);
+        };
         lens::PolicyProberParams pp;
         pp.overwriteIterations = thr * 4;
         pp.tailRegions = {};
-        auto probe = lens::runPolicyProber(drv, pp);
+        auto probe = lens::runPolicyProber(factory, pp);
         t4.addRow({std::to_string(thr),
                    fmtDouble(probe.tailIntervalWrites, 0)});
         if (std::abs(probe.tailIntervalWrites -

@@ -8,6 +8,7 @@
  */
 
 #include "bench/bench_util.hh"
+#include "common/sweep.hh"
 #include "lens/probers.hh"
 #include "nvram/vans_system.hh"
 
@@ -33,15 +34,22 @@ main()
     std::printf("\n%s\n", t.render().c_str());
 
     // Demonstrate each LENS "yes" cell against VANS.
-    EventQueue eq;
-    nvram::VansSystem sys(eq, nvram::NvramConfig::optaneDefault());
-    lens::Driver drv(sys);
+    SystemFactory factory = [](EventQueue &eq) {
+        return std::make_unique<nvram::VansSystem>(
+            eq, nvram::NvramConfig::optaneDefault());
+    };
+    SweepRunner sweep;
 
     lens::BufferProberParams bp;
     bp.maxRegion = 64ull << 20;
     bp.warmupLines = 8000;
     bp.measureLines = 2500;
-    auto buffers = lens::runBufferProber(drv, bp);
+    auto buffers = lens::runBufferProber(factory, bp, sweep);
+
+    // Bandwidth on one more fresh world, as runLens does.
+    EventQueue eq;
+    auto sys = factory(eq);
+    lens::Driver drv(*sys);
     auto perf = lens::runPerfProber(drv, buffers);
 
     std::printf("LENS evidence on VANS:\n");

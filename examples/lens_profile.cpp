@@ -11,6 +11,7 @@
  */
 
 #include <cstdio>
+#include <memory>
 
 #include "common/logging.hh"
 #include "common/event_queue.hh"
@@ -32,12 +33,15 @@ main()
     mystery.mediaReadNs = 220;
     mystery.wearThreshold = 3000;
 
-    EventQueue eq;
-    nvram::VansSystem mem(eq, mystery, "mystery-nvdimm");
-    lens::Driver drv(mem);
+    // LENS builds a fresh world per sweep point, so it takes a
+    // factory rather than one system.
+    SystemFactory factory = [&mystery](EventQueue &eq) {
+        return std::make_unique<nvram::VansSystem>(eq, mystery,
+                                                   "mystery-nvdimm");
+    };
 
-    std::printf("Profiling '%s' with LENS (black box)...\n\n",
-                mem.name().c_str());
+    std::printf("Profiling 'mystery-nvdimm' with LENS (black "
+                "box)...\n\n");
 
     lens::LensParams params;
     params.buffer.maxRegion = 64ull << 20;
@@ -47,7 +51,7 @@ main()
     params.policy.tailRegions = {256, 4096, 65536, 262144};
     params.policy.tailSweepBytes = 4ull << 20;
 
-    auto report = lens::runLens(drv, params);
+    auto report = lens::runLens(factory, params);
     std::printf("%s\n", report.summary().c_str());
 
     std::printf("ground truth we planted:\n");

@@ -116,7 +116,6 @@ class Driver
     /** Advance simulated time by @p ticks (think time). */
     void idle(Tick ticks);
 
-    MemorySystem &memory() { return mem; }
     Tick now() const { return eq.curTick(); }
 
   private:

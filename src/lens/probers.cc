@@ -76,9 +76,9 @@ warmCoverage(MemorySystem &sys,
 
 // ---- Per-point measurement bodies ---------------------------------
 //
-// Each function below is one self-contained sweep point, shared by
-// the serial (one warm driver, points in order) and parallel (fresh
-// system per point) prober paths, so the two paths cannot drift.
+// Each function below measures one sweep point on the world behind
+// its driver: a fresh system restored from the warm image, or one
+// built cold.
 
 /** One latency-sweep point: dependent-load and store ns/CL. */
 struct LatPoint
@@ -90,7 +90,7 @@ struct LatPoint
 LatPoint
 latencyPoint(Driver &drv, const BufferProberParams &p,
              std::uint64_t region, std::uint32_t block,
-             std::uint64_t seed, bool coverage_warm = false)
+             std::uint64_t seed)
 {
     PtrChaseParams pc;
     pc.base = p.base;
@@ -99,7 +99,9 @@ latencyPoint(Driver &drv, const BufferProberParams &p,
     pc.warmupLines = p.warmupLines;
     pc.measureLines = p.measureLines;
     pc.seed = seed;
-    pc.coverageWarm = coverage_warm;
+    // On top of the shared warm image: region-local residency is
+    // still each point's own.
+    pc.coverageWarm = true;
     LatPoint out;
     out.ld = ptrChase(drv, pc).nsPerLine;
     pc.writeMode = true;
@@ -120,8 +122,7 @@ rawPoint(Driver &drv, Addr base, std::uint64_t region)
 /** One read-amplification point: overflow/fit latency ratio. */
 double
 readAmpPoint(Driver &drv, Addr base, std::uint64_t fit_region,
-             std::uint64_t ov_region, std::uint64_t block,
-             bool coverage_warm = false)
+             std::uint64_t ov_region, std::uint64_t block)
 {
     PtrChaseParams pc;
     pc.base = base;
@@ -131,7 +132,7 @@ readAmpPoint(Driver &drv, Addr base, std::uint64_t fit_region,
     pc.measureLines = 4000;
     // Warm the fit run only: a fitting region is resident at steady
     // state, while the overflow run's misses ARE the signal.
-    pc.coverageWarm = coverage_warm;
+    pc.coverageWarm = true;
     pc.regionBytes = fit_region;
     pc.seed = block;
     double fit = ptrChase(drv, pc).nsPerLine;
@@ -144,8 +145,7 @@ readAmpPoint(Driver &drv, Addr base, std::uint64_t fit_region,
 /** One write-amplification point (fence-per-block variant). */
 double
 writeAmpPoint(Driver &drv, Addr base, std::uint64_t fit_region,
-              std::uint64_t ov_region, std::uint64_t block,
-              bool coverage_warm = false)
+              std::uint64_t ov_region, std::uint64_t block)
 {
     auto run = [&](std::uint64_t region, bool read_warm) {
         auto order = chaseOrder(base, region,
@@ -176,7 +176,7 @@ writeAmpPoint(Driver &drv, Addr base, std::uint64_t fit_region,
         return ticksToNs(drv.now() - start) /
                static_cast<double>(lines);
     };
-    double fit = run(fit_region, coverage_warm);
+    double fit = run(fit_region, true);
     double ov = run(ov_region, false);
     return fit > 0 ? ov / fit : 0.0;
 }
@@ -258,7 +258,7 @@ seqWritePoint(Driver &d, std::uint64_t bytes)
     return ticksToNs(t) / 1000.0; // us
 }
 
-// ---- Analysis shared by the serial and parallel paths -------------
+// ---- Analysis of the collected curves -----------------------------
 
 /** Fill capacities/latencies/entry sizes from the collected curves. */
 void
@@ -351,74 +351,6 @@ constexpr std::uint64_t ampBlockSweep[] = {64,   128,  256, 512,
 } // namespace
 
 BufferProbe
-runBufferProber(Driver &drv, const BufferProberParams &p)
-{
-    BufferProbe out;
-
-    auto sweep = logSweep(p.minRegion, p.maxRegion);
-
-    // ---- Capacity detection: latency-mode pointer chasing -------
-    for (std::uint64_t region : sweep) {
-        auto pt = latencyPoint(drv, p, region, 64, region);
-        out.loadCurve.add(static_cast<double>(region), pt.ld);
-        out.storeCurve.add(static_cast<double>(region), pt.st);
-    }
-
-    // 256B-block variant (Fig 5b): same sweep from 256B up.
-    for (std::uint64_t region : sweep) {
-        if (region < 256)
-            continue;
-        auto pt = latencyPoint(drv, p, region, 256, region + 7);
-        out.load256Curve.add(static_cast<double>(region), pt.ld);
-        out.store256Curve.add(static_cast<double>(region), pt.st);
-    }
-
-    finishBufferAnalysis(out, p);
-    auto [cap_l1, cap_l2] = readCaps(out);
-
-    // ---- RaW hierarchy test (Fig 5c) ------------------------------
-    for (std::uint64_t region : sweep) {
-        if (region > (cap_l2 * 4) || region < 64)
-            continue;
-        double raw_ns = rawPoint(drv, p.base, region);
-        double sum =
-            out.loadCurve.valueAt(static_cast<double>(region)) +
-            out.storeCurve.valueAt(static_cast<double>(region));
-        out.rawCurve.add(static_cast<double>(region), raw_ns);
-        out.rwSumCurve.add(static_cast<double>(region), sum);
-    }
-    finishRawAnalysis(out, cap_l2);
-
-    // ---- Read amplification (Fig 6a): bandwidth-mode chasing ----
-    for (std::uint64_t block : ampBlockSweep) {
-        double s1 = readAmpPoint(drv, p.base, cap_l1 / 2,
-                                 std::min(cap_l1 * 4, cap_l2 / 4),
-                                 block);
-        out.readAmpL1.add(static_cast<double>(block), s1);
-        double s2 = readAmpPoint(drv, p.base, cap_l2 / 2, cap_l2 * 4,
-                                 block);
-        out.readAmpL2.add(static_cast<double>(block), s2);
-    }
-    out.readEntrySizeL1 = ampKnee(out.readAmpL1);
-    out.readEntrySizeL2 = ampKnee(out.readAmpL2);
-
-    // ---- Write amplification (Fig 6b): fence-per-block variant --
-    auto [wq_l1, wq_l2] = writeCaps(out);
-    for (std::uint64_t block : ampBlockSweep) {
-        if (block > wq_l2)
-            continue;
-        double s1 =
-            writeAmpPoint(drv, p.base, wq_l1 / 2, wq_l1 * 4, block);
-        out.writeAmpWpq.add(static_cast<double>(block), s1);
-        double s2 =
-            writeAmpPoint(drv, p.base, wq_l2 / 2, wq_l2 * 4, block);
-        out.writeAmpLsq.add(static_cast<double>(block), s2);
-    }
-
-    return out;
-}
-
-BufferProbe
 runBufferProber(const SystemFactory &factory,
                 const BufferProberParams &p, const SweepRunner &sweep)
 {
@@ -453,10 +385,8 @@ runBufferProber(const SystemFactory &factory,
     auto lat_res = sweep.mapForked<LatPoint>(
         ws, lat.size(), [&](MemorySystem &sys, std::size_t i) {
             Driver drv(sys);
-            // coverageWarm on top of the shared image: region-local
-            // residency is still each point's own.
             return latencyPoint(drv, p, lat[i].region, lat[i].block,
-                                lat[i].seed, true);
+                                lat[i].seed);
         });
     for (std::size_t i = 0; i < lat.size(); ++i) {
         double x = static_cast<double>(lat[i].region);
@@ -519,13 +449,12 @@ runBufferProber(const SystemFactory &factory,
             if (d.write) {
                 std::uint64_t fit = d.level2 ? wl2 / 2 : wl1 / 2;
                 std::uint64_t ov = d.level2 ? wl2 * 4 : wl1 * 4;
-                return writeAmpPoint(drv, p.base, fit, ov, d.block,
-                                     true);
+                return writeAmpPoint(drv, p.base, fit, ov, d.block);
             }
             std::uint64_t fit = d.level2 ? cl2 / 2 : cl1 / 2;
             std::uint64_t ov =
                 d.level2 ? cl2 * 4 : std::min(cl1 * 4, cl2 / 4);
-            return readAmpPoint(drv, p.base, fit, ov, d.block, true);
+            return readAmpPoint(drv, p.base, fit, ov, d.block);
         });
     for (std::size_t i = 0; i < amps.size(); ++i) {
         const AmpDesc &d = amps[i];
@@ -538,26 +467,6 @@ runBufferProber(const SystemFactory &factory,
     }
     out.readEntrySizeL1 = ampKnee(out.readAmpL1);
     out.readEntrySizeL2 = ampKnee(out.readAmpL2);
-
-    return out;
-}
-
-PolicyProbe
-runPolicyProber(Driver &drv, const PolicyProberParams &p)
-{
-    PolicyProbe out;
-
-    // ---- Migration latency and frequency (Fig 7b) ----------------
-    analyzeOverwriteTail(drv, p, out);
-
-    // ---- Wear granularity (Fig 7c) --------------------------------
-    std::size_t point = 0;
-    for (std::uint64_t region : p.tailRegions) {
-        double ratio = tailRatioPoint(drv, p, region, point);
-        out.tailRatioCurve.add(static_cast<double>(region), ratio);
-        ++point;
-    }
-    finishTailAnalysis(out);
 
     return out;
 }
@@ -600,19 +509,6 @@ runPolicyProber(const SystemFactory &factory,
     finishTailAnalysis(out);
 
     return out;
-}
-
-void
-runInterleaveProbe(Driver &interleaved, Driver &single,
-                   PolicyProbe &out, std::uint64_t max_bytes)
-{
-    for (std::uint64_t bytes = 512; bytes <= max_bytes; bytes += 512) {
-        double t_int = seqWritePoint(interleaved, bytes);
-        double t_one = seqWritePoint(single, bytes);
-        out.seqWriteInterleaved.add(static_cast<double>(bytes), t_int);
-        out.seqWriteSingle.add(static_cast<double>(bytes), t_one);
-    }
-    finishInterleaveAnalysis(out);
 }
 
 void

@@ -61,16 +61,12 @@ struct BufferProberParams
     std::uint64_t measureLines = 6000;
 };
 
-/** Runs the buffer-capacity / entry-size / hierarchy analysis. */
-BufferProbe runBufferProber(Driver &drv, const BufferProberParams &p);
-
 /**
- * Parallel variant: every sweep point runs against a fresh system
- * built by @p factory, fanned out by @p sweep. Results are collected
- * in point order and are bit-identical whatever the thread count
- * (SweepRunner(1) is the serial reference). Only usable against
- * simulated systems that can be cloned; the Driver& overload remains
- * for single-instance (hardware-like) targets.
+ * Runs the buffer-capacity / entry-size / hierarchy analysis. Every
+ * sweep point runs against a fresh system built by @p factory,
+ * fanned out by @p sweep. Results are collected in point order and
+ * are bit-identical whatever the thread count (SweepRunner(1) is the
+ * serial reference).
  */
 BufferProbe runBufferProber(const SystemFactory &factory,
                             const BufferProberParams &p,
@@ -104,27 +100,21 @@ struct PolicyProberParams
 };
 
 /**
- * Runs the wear-leveling tail analysis on @p drv. The interleaving
+ * Runs the wear-leveling tail analysis on systems built by
+ * @p factory, fanned out as runBufferProber does. The interleaving
  * analysis needs two machines (interleaved and not); it is exposed
  * separately below.
  */
-PolicyProbe runPolicyProber(Driver &drv, const PolicyProberParams &p);
-
-/** Parallel variant; see the BufferProbe factory overload. */
 PolicyProbe runPolicyProber(const SystemFactory &factory,
                             const PolicyProberParams &p,
                             const SweepRunner &sweep = SweepRunner{});
 
 /**
  * Interleave detector: measures sequential-write execution time vs
- * size on both systems and reports the granularity (paper Fig 7a).
- * Fills the interleave fields of @p out.
+ * size on fresh interleaved and single systems at every point and
+ * reports the granularity (paper Fig 7a). Fills the interleave
+ * fields of @p out.
  */
-void runInterleaveProbe(Driver &interleaved, Driver &single,
-                        PolicyProbe &out,
-                        std::uint64_t max_bytes = 16384);
-
-/** Parallel variant: fresh interleaved + single systems per point. */
 void runInterleaveProbe(const SystemFactory &interleavedFactory,
                         const SystemFactory &singleFactory,
                         PolicyProbe &out,

@@ -8,20 +8,6 @@ namespace vans::lens
 {
 
 LensReport
-runLens(Driver &drv, const LensParams &params)
-{
-    LensReport rep;
-    rep.systemName = drv.memory().name();
-    rep.buffers = runBufferProber(drv, params.buffer);
-    if (params.runPolicy)
-        rep.policy = runPolicyProber(drv, params.policy);
-    if (params.runPerf)
-        rep.perf = runPerfProber(drv, rep.buffers,
-                                 params.buffer.base);
-    return rep;
-}
-
-LensReport
 runLens(const SystemFactory &factory, const LensParams &params,
         const SweepRunner &sweep)
 {

@@ -36,14 +36,11 @@ struct LensParams
     bool runPerf = true;
 };
 
-/** Run every prober against @p drv's memory system. */
-LensReport runLens(Driver &drv, const LensParams &params = {});
-
 /**
- * Parallel variant: probers fan their sweep points out across
- * @p sweep, one fresh factory-built system per point. Only valid
- * for cloneable (simulated) targets; results are bit-identical for
- * any thread count.
+ * Run every prober against systems built by @p factory. The probers
+ * fan their sweep points out across @p sweep, one fresh system per
+ * point; the performance prober runs on one more fresh system.
+ * Results are bit-identical for any thread count.
  */
 LensReport runLens(const SystemFactory &factory,
                    const LensParams &params = {},

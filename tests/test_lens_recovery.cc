@@ -19,6 +19,21 @@ using vans::test::VansFixture;
 namespace
 {
 
+/** Fresh VANS worlds with @p cfg planted. */
+SystemFactory
+plant(nvram::NvramConfig cfg = nvram::NvramConfig::optaneDefault())
+{
+    setQuiet(true);
+    return [cfg](EventQueue &eq) {
+        return std::make_unique<nvram::VansSystem>(eq, cfg);
+    };
+}
+
+/** ctest already runs the tests side by side, so each prober runs
+ *  its points in sequence; the result is the same at any thread
+ *  count (SweepRunner.FactoryProberMatchesAcrossThreadCounts). */
+const SweepRunner serial(1);
+
 BufferProberParams
 fastBufferParams(std::uint64_t max_region)
 {
@@ -33,8 +48,8 @@ fastBufferParams(std::uint64_t max_region)
 
 TEST(LensRecovery, ReadBufferCapacities)
 {
-    VansFixture f;
-    auto probe = runBufferProber(f.drv, fastBufferParams(64ull << 20));
+    auto probe =
+        runBufferProber(plant(), fastBufferParams(64ull << 20), serial);
     ASSERT_GE(probe.readBufferCapacities.size(), 2u)
         << "expected two read-buffer levels (RMW 16K, AIT 16M)";
     EXPECT_EQ(probe.readBufferCapacities[0], 16u << 10);
@@ -43,8 +58,8 @@ TEST(LensRecovery, ReadBufferCapacities)
 
 TEST(LensRecovery, WriteQueueCapacities)
 {
-    VansFixture f;
-    auto probe = runBufferProber(f.drv, fastBufferParams(1 << 20));
+    auto probe =
+        runBufferProber(plant(), fastBufferParams(1 << 20), serial);
     ASSERT_GE(probe.writeQueueCapacities.size(), 2u)
         << "expected two write-queue levels (WPQ 512B, LSQ 4K)";
     EXPECT_EQ(probe.writeQueueCapacities[0], 512u);
@@ -56,16 +71,16 @@ TEST(LensRecovery, WriteQueueCapacities)
 
 TEST(LensRecovery, HierarchyIsInclusive)
 {
-    VansFixture f;
-    auto probe = runBufferProber(f.drv, fastBufferParams(16 << 20));
+    auto probe =
+        runBufferProber(plant(), fastBufferParams(16 << 20), serial);
     EXPECT_TRUE(probe.inclusiveHierarchy)
         << "RaW must show no parallel fast-forward speedup";
 }
 
 TEST(LensRecovery, LevelLatenciesAreOrdered)
 {
-    VansFixture f;
-    auto probe = runBufferProber(f.drv, fastBufferParams(64ull << 20));
+    auto probe =
+        runBufferProber(plant(), fastBufferParams(64ull << 20), serial);
     ASSERT_GE(probe.levelLatenciesNs.size(), 3u);
     // RMW < AIT-buffer < media, with plausible magnitudes.
     EXPECT_GT(probe.levelLatenciesNs[0], 100);
@@ -78,8 +93,8 @@ TEST(LensRecovery, LevelLatenciesAreOrdered)
 
 TEST(LensRecovery, ReadAmplificationKnees)
 {
-    VansFixture f;
-    auto probe = runBufferProber(f.drv, fastBufferParams(64ull << 20));
+    auto probe =
+        runBufferProber(plant(), fastBufferParams(64ull << 20), serial);
     // RMW entry = 256B, AIT entry = 4KB (paper Fig 6a). The score
     // floor compresses each knee by up to one power of two.
     EXPECT_GE(probe.readEntrySizeL1, 128u);
@@ -101,8 +116,8 @@ TEST(LensRecovery, AlteredRmwCapacityIsDetected)
     // other NVRAM DIMMs" claim of paper section IV-E.
     nvram::NvramConfig cfg = nvram::NvramConfig::optaneDefault();
     cfg.rmwEntries = 128; // 128 x 256B = 32KB.
-    VansFixture f(cfg);
-    auto probe = runBufferProber(f.drv, fastBufferParams(1 << 20));
+    auto probe =
+        runBufferProber(plant(cfg), fastBufferParams(1 << 20), serial);
     ASSERT_GE(probe.readBufferCapacities.size(), 1u);
     EXPECT_EQ(probe.readBufferCapacities[0], 32u << 10);
 }
@@ -111,8 +126,8 @@ TEST(LensRecovery, SmallerWpqIsDetected)
 {
     nvram::NvramConfig cfg = nvram::NvramConfig::optaneDefault();
     cfg.wpqEntries = 4; // 256B WPQ.
-    VansFixture f(cfg);
-    auto probe = runBufferProber(f.drv, fastBufferParams(256 << 10));
+    auto probe = runBufferProber(plant(cfg), fastBufferParams(256 << 10),
+                                 serial);
     ASSERT_GE(probe.writeQueueCapacities.size(), 1u);
     EXPECT_EQ(probe.writeQueueCapacities[0], 256u);
 }
@@ -124,12 +139,11 @@ TEST(LensRecovery, MigrationParameters)
     nvram::NvramConfig cfg = nvram::NvramConfig::optaneDefault();
     cfg.wearThreshold = 2000;
     cfg.migrationUs = 40;
-    VansFixture f(cfg);
 
     PolicyProberParams pp;
     pp.overwriteIterations = 9000;
     pp.tailRegions = {};
-    auto probe = runPolicyProber(f.drv, pp);
+    auto probe = runPolicyProber(plant(cfg), pp, serial);
 
     EXPECT_NEAR(probe.tailIntervalWrites, 2000, 200)
         << "migration every ~wearThreshold 256B writes";
@@ -145,13 +159,12 @@ TEST(LensRecovery, WearBlockSize)
     nvram::NvramConfig cfg = nvram::NvramConfig::optaneDefault();
     cfg.wearThreshold = 1500;
     cfg.migrationUs = 40;
-    VansFixture f(cfg);
 
     PolicyProberParams pp;
     pp.overwriteIterations = 4000;
     pp.tailRegions = {256, 4096, 65536, 262144};
     pp.tailSweepBytes = 3ull << 20;
-    auto probe = runPolicyProber(f.drv, pp);
+    auto probe = runPolicyProber(plant(cfg), pp, serial);
 
     // The ratio must collapse once the region spans >1 wear block.
     ASSERT_EQ(probe.tailRatioCurve.size(), 4u);
@@ -168,13 +181,9 @@ TEST(LensRecovery, InterleaveGranularity)
     nvram::NvramConfig inter = nvram::NvramConfig::optaneDefault();
     inter.numDimms = 6;
     inter.interleaved = true;
-    VansFixture fi(inter);
-
-    nvram::NvramConfig single = nvram::NvramConfig::optaneDefault();
-    VansFixture fs(single);
 
     PolicyProbe probe;
-    runInterleaveProbe(fi.drv, fs.drv, probe, 16384);
+    runInterleaveProbe(plant(inter), plant(), probe, 16384, serial);
     EXPECT_EQ(probe.interleaveGranularity, 4096u)
         << "4KB multi-DIMM interleaving (paper Fig 7a)";
 }
@@ -185,13 +194,9 @@ TEST(LensRecovery, AlteredInterleaveGranularityDetected)
     inter.numDimms = 6;
     inter.interleaved = true;
     inter.interleaveBytes = 8192;
-    VansFixture fi(inter);
-
-    nvram::NvramConfig single = nvram::NvramConfig::optaneDefault();
-    VansFixture fs(single);
 
     PolicyProbe probe;
-    runInterleaveProbe(fi.drv, fs.drv, probe, 32768);
+    runInterleaveProbe(plant(inter), plant(), probe, 32768, serial);
     EXPECT_EQ(probe.interleaveGranularity, 8192u);
 }
 
