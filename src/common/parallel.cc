@@ -1,9 +1,16 @@
 #include "common/parallel.hh"
 
+#include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
-#include <utility>
+#include <limits>
+#include <thread>
+#include <vector>
+
+#include "common/logging.hh"
 
 namespace vans
 {
@@ -12,140 +19,79 @@ unsigned
 hardwareThreads()
 {
     if (const char *env = std::getenv("VANS_THREADS")) {
-        long v = std::strtol(env, nullptr, 10);
-        return v >= 1 ? static_cast<unsigned>(v) : 1u;
+        // from_chars into an unsigned takes digits only: no sign, no
+        // blanks, no trailing text, and no value past the type.
+        const char *end = env + std::strlen(env);
+        unsigned v = 0;
+        auto [ptr, ec] = std::from_chars(env, end, v);
+        if (ec != std::errc() || ptr != end || v < 1)
+            fatal("VANS_THREADS='%s': expected a whole decimal number "
+                  "from 1 to %u",
+                  env, std::numeric_limits<unsigned>::max());
+        return v;
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw >= 1 ? hw : 1u;
 }
 
-ThreadPool::ThreadPool(unsigned threads)
-    : numThreads(threads ? threads : hardwareThreads())
-{
-    workers.reserve(numThreads);
-    for (unsigned i = 0; i < numThreads; ++i)
-        workers.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        MutexLock lock(mtx);
-        stopping = true;
-    }
-    taskReady.notify_all();
-    for (auto &w : workers)
-        w.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    {
-        MutexLock lock(mtx);
-        tasks.push_back(std::move(task));
-        ++inFlight;
-    }
-    taskReady.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    MutexLock lock(mtx);
-    while (inFlight != 0)
-        allDone.wait(lock.native());
-}
-
 namespace
 {
-/** Set while the current thread is a pool worker: nested
- *  parallelFor calls degrade to inline execution instead of
- *  deadlocking on their own pool. */
-thread_local bool insidePoolWorker = false;
+/** Set on the threads parallelFor starts: a parallelFor called from
+ *  one of them runs inline instead of starting threads of its own. */
+thread_local bool insideParallelFor = false;
 } // namespace
 
 void
-ThreadPool::workerLoop()
+parallelFor(std::size_t n, unsigned threads,
+            const std::function<void(std::size_t)> &fn)
 {
-    insidePoolWorker = true;
-    for (;;) {
-        std::function<void()> task;
-        {
-            MutexLock lock(mtx);
-            while (!stopping && tasks.empty())
-                taskReady.wait(lock.native());
-            if (tasks.empty())
-                return; // stopping and drained
-            task = std::move(tasks.front());
-            tasks.pop_front();
-        }
-        task();
-        {
-            MutexLock lock(mtx);
-            --inFlight;
-        }
-        allDone.notify_all();
-    }
-}
-
-ThreadPool &
-ThreadPool::shared()
-{
-    // simlint-allow: magic static; the pool locks internally.
-    static ThreadPool pool;
-    return pool;
-}
-
-void
-parallelFor(std::size_t n,
-            const std::function<void(std::size_t)> &fn,
-            ThreadPool *pool)
-{
-    if (n == 0)
-        return;
-    if (insidePoolWorker) {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-    ThreadPool &p = pool ? *pool : ThreadPool::shared();
-    if (n == 1 || p.size() <= 1) {
+    if (threads <= 1 || n <= 1 || insideParallelFor) {
         for (std::size_t i = 0; i < n; ++i)
             fn(i);
         return;
     }
 
-    // Work-stealing-by-counter: each worker task pulls the next
-    // un-started index until the range drains. Result ordering is
-    // the caller's concern (results indexed by i are deterministic
-    // regardless of which worker ran which i).
-    auto next = std::make_shared<std::atomic<std::size_t>>(0);
-    auto firstError = std::make_shared<std::atomic<bool>>(false);
-    auto error = std::make_shared<std::exception_ptr>();
-    auto errorMtx = std::make_shared<std::mutex>();
-
-    std::size_t lanes = std::min<std::size_t>(p.size(), n);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-        p.submit([&fn, n, next, firstError, error, errorMtx] {
-            for (;;) {
-                std::size_t i =
-                    next->fetch_add(1, std::memory_order_relaxed);
-                if (i >= n || firstError->load())
-                    return;
-                try {
-                    fn(i);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(*errorMtx);
-                    if (!firstError->exchange(true))
-                        *error = std::current_exception();
-                }
+    // Each thread takes the next unstarted index until the range is
+    // drained. Callers collect results by index, so the output does
+    // not depend on which thread ran which index.
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> failed{false};
+    std::exception_ptr error; // written only by the first thrower
+    auto lane = [&] {
+        insideParallelFor = true;
+        while (!failed.load()) {
+            std::size_t i = next.fetch_add(1);
+            if (i >= n)
+                return;
+            try {
+                fn(i);
+            } catch (...) {
+                if (!failed.exchange(true))
+                    error = std::current_exception();
             }
-        });
+        }
+    };
+
+    std::vector<std::thread> lanes;
+    auto joinAll = [&lanes] {
+        for (std::thread &t : lanes)
+            t.join();
+    };
+    try {
+        std::size_t count = std::min<std::size_t>(threads, n);
+        lanes.reserve(count);
+        for (std::size_t t = 0; t < count; ++t)
+            lanes.emplace_back(lane);
+    } catch (...) {
+        // A thread could not start: stop the started ones after
+        // their current index and report the failure.
+        failed = true;
+        joinAll();
+        throw;
     }
-    p.wait();
-    if (firstError->load())
-        std::rethrow_exception(*error);
+    joinAll();
+    if (error)
+        std::rethrow_exception(error);
 }
 
 } // namespace vans

@@ -43,49 +43,27 @@ namespace vans
 class SweepRunner
 {
   public:
-    /** Fan out over the process-wide shared pool. */
-    SweepRunner() : threads(hardwareThreads()) {}
-
     /**
-     * Fan out over a private pool of exactly @p t workers (t <= 1:
+     * Fan out over at most @p t threads, started per sweep (t <= 1:
      * run inline on the calling thread).
      */
-    explicit SweepRunner(unsigned t) : threads(t < 1 ? 1 : t)
+    explicit SweepRunner(unsigned t = hardwareThreads())
+        : threads(t < 1 ? 1 : t)
     {
-        if (threads > 1)
-            ownPool = std::make_unique<ThreadPool>(threads);
     }
 
     /**
      * Evaluate fn(i) for i in [0, n); results collected in index
-     * order. R must be default-constructible and movable. The
-     * callable is taken as a template parameter -- no wrapping into
-     * std::function on the serial path.
+     * order. R must be default-constructible and movable.
      */
     template <typename R, typename Fn>
     std::vector<R>
     map(std::size_t n, Fn &&fn) const
     {
         std::vector<R> out(n);
-        forEach(n, [&out, &fn](std::size_t i) { out[i] = fn(i); });
+        parallelFor(n, threads,
+                    [&out, &fn](std::size_t i) { out[i] = fn(i); });
         return out;
-    }
-
-    /** Run fn(i) for i in [0, n) with no result collection. */
-    template <typename Fn>
-    void
-    forEach(std::size_t n, Fn &&fn) const
-    {
-        if (threads <= 1) {
-            for (std::size_t i = 0; i < n; ++i)
-                fn(i);
-            return;
-        }
-        // Only the parallel path pays the type-erasure toll, and
-        // there it is one std::function per sweep, not per point.
-        parallelFor(n, std::function<void(std::size_t)>(
-                           [&fn](std::size_t i) { fn(i); }),
-                    ownPool.get());
     }
 
     /**
@@ -142,7 +120,7 @@ class SweepRunner
     mapForked(const WarmStart &ws, std::size_t n, PointFn &&fn) const
     {
         std::vector<R> out(n);
-        forEach(n, [&](std::size_t i) {
+        parallelFor(n, threads, [&](std::size_t i) {
             EventQueue eq;
             std::unique_ptr<MemorySystem> sys = ws.factory(eq);
             if (ws.snap.valid()) {
@@ -174,8 +152,6 @@ class SweepRunner
             std::forward<PointFn>(fn));
     }
 
-    unsigned threadCount() const { return threads; }
-
     /**
      * Stream-independent per-point seed: mixes a base seed with the
      * point index (SplitMix64 finalizer) so neighbouring points get
@@ -194,7 +170,6 @@ class SweepRunner
 
   private:
     unsigned threads;
-    std::unique_ptr<ThreadPool> ownPool;
 };
 
 } // namespace vans

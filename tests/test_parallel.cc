@@ -1,14 +1,16 @@
 /**
  * @file
- * Tests for the fan-out substrate: ThreadPool, parallelFor and the
- * SweepRunner -- in particular that parallel sweeps are bit-identical
- * to their serial reference execution.
+ * Tests for the fan-out substrate: parallelFor, hardwareThreads and
+ * the SweepRunner -- in particular that parallel sweeps are
+ * bit-identical to their serial reference execution.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
+#include <cstdlib>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.hh"
@@ -21,11 +23,9 @@ using namespace vans;
 
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce)
 {
-    ThreadPool pool(4);
     std::vector<std::atomic<int>> hits(1000);
-    parallelFor(
-        hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); },
-        &pool);
+    parallelFor(hits.size(), 4,
+                [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < hits.size(); ++i)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
@@ -33,47 +33,60 @@ TEST(ParallelFor, VisitsEveryIndexExactlyOnce)
 TEST(ParallelFor, RunsInlineWithoutPool)
 {
     int calls = 0;
-    parallelFor(5, [&](std::size_t) { ++calls; }, nullptr);
+    parallelFor(5, 1, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls, 5);
 }
 
 TEST(ParallelFor, PropagatesExceptions)
 {
-    ThreadPool pool(2);
-    EXPECT_THROW(
-        parallelFor(
-            16,
-            [](std::size_t i) {
-                if (i == 7)
-                    throw std::runtime_error("boom");
-            },
-            &pool),
-        std::runtime_error);
+    EXPECT_THROW(parallelFor(16, 2,
+                             [](std::size_t i) {
+                                 if (i == 7)
+                                     throw std::runtime_error("boom");
+                             }),
+                 std::runtime_error);
 }
 
 TEST(ParallelFor, NestedCallsRunInline)
 {
-    // A worker submitting more parallel work must not deadlock.
-    ThreadPool pool(2);
+    // A nested sweep runs on the thread that called it: it must not
+    // start threads of its own.
     std::atomic<int> total{0};
-    parallelFor(
-        4,
-        [&](std::size_t) {
-            parallelFor(
-                4, [&](std::size_t) { total.fetch_add(1); }, &pool);
-        },
-        &pool);
+    std::atomic<int> offThread{0};
+    parallelFor(4, 2, [&](std::size_t) {
+        std::thread::id outer = std::this_thread::get_id();
+        parallelFor(4, 2, [&](std::size_t) {
+            total.fetch_add(1);
+            if (std::this_thread::get_id() != outer)
+                offThread.fetch_add(1);
+        });
+    });
     EXPECT_EQ(total.load(), 16);
+    EXPECT_EQ(offThread.load(), 0);
 }
 
-TEST(ThreadPool, WaitDrainsAllSubmitted)
+TEST(HardwareThreadsDeathTest, ParsesVansThreadsStrictly)
 {
-    ThreadPool pool(3);
-    std::atomic<int> done{0};
-    for (int i = 0; i < 64; ++i)
-        pool.submit([&done] { done.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(done.load(), 64);
+    // Each value is set in a child process, so the suite's own
+    // VANS_THREADS stays as it is.
+    EXPECT_EXIT(
+        {
+            setenv("VANS_THREADS", "3", 1);
+            std::exit(hardwareThreads() == 3 ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
+    // strtol used to read "four", "0" and "-2" as 1 thread and "8x"
+    // as 8.
+    for (const char *bad : {"", "0", "-2", "four", "8x"}) {
+        EXPECT_DEATH(
+            {
+                setenv("VANS_THREADS", bad, 1);
+                hardwareThreads();
+            },
+            "VANS_THREADS='" + std::string(bad) +
+                "': expected a whole decimal number")
+            << "VANS_THREADS='" << bad << "'";
+    }
 }
 
 TEST(SweepRunner, MapPreservesIndexOrder)
@@ -117,6 +130,25 @@ simPoint(std::size_t i)
     return eq.curTick();
 }
 
+/** Bit-for-bit equality of two curves, point by point. */
+void
+expectSameCurve(const Curve &ref, const Curve &out)
+{
+    ASSERT_EQ(ref.size(), out.size()) << ref.name();
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        EXPECT_EQ(ref[i].x, out[i].x) << ref.name() << " point " << i;
+        EXPECT_EQ(ref[i].y, out[i].y) << ref.name() << " point " << i;
+    }
+}
+
+SystemFactory
+smallFactory(nvram::NvramConfig cfg = vans::test::smallConfig())
+{
+    return [cfg](EventQueue &eq) {
+        return std::make_unique<nvram::VansSystem>(eq, cfg);
+    };
+}
+
 } // namespace
 
 TEST(SweepRunner, ParallelSimulationMatchesSerial)
@@ -130,23 +162,68 @@ TEST(SweepRunner, ParallelSimulationMatchesSerial)
 
 TEST(SweepRunner, FactoryProberMatchesAcrossThreadCounts)
 {
-    SystemFactory factory = [](EventQueue &eq) {
-        return std::make_unique<nvram::VansSystem>(
-            eq, vans::test::smallConfig());
-    };
+    setQuiet(true);
     lens::BufferProberParams bp;
     bp.maxRegion = 1ull << 20;
     bp.warmupLines = 600;
     bp.measureLines = 300;
 
-    auto ref = lens::runBufferProber(factory, bp, SweepRunner(1));
-    auto out = lens::runBufferProber(factory, bp, SweepRunner(4));
+    auto ref = lens::runBufferProber(smallFactory(), bp, SweepRunner(1));
+    auto out = lens::runBufferProber(smallFactory(), bp, SweepRunner(4));
 
-    ASSERT_EQ(ref.loadCurve.size(), out.loadCurve.size());
-    for (std::size_t i = 0; i < ref.loadCurve.size(); ++i) {
-        EXPECT_EQ(ref.loadCurve[i].x, out.loadCurve[i].x);
-        EXPECT_EQ(ref.loadCurve[i].y, out.loadCurve[i].y);
-    }
+    for (auto curve : {&lens::BufferProbe::loadCurve,
+                       &lens::BufferProbe::storeCurve,
+                       &lens::BufferProbe::load256Curve,
+                       &lens::BufferProbe::store256Curve,
+                       &lens::BufferProbe::rawCurve,
+                       &lens::BufferProbe::rwSumCurve,
+                       &lens::BufferProbe::readAmpL1,
+                       &lens::BufferProbe::readAmpL2,
+                       &lens::BufferProbe::writeAmpWpq,
+                       &lens::BufferProbe::writeAmpLsq})
+        expectSameCurve(ref.*curve, out.*curve);
     EXPECT_EQ(ref.readBufferCapacities, out.readBufferCapacities);
     EXPECT_EQ(ref.writeQueueCapacities, out.writeQueueCapacities);
+    EXPECT_EQ(ref.readEntrySizeL1, out.readEntrySizeL1);
+    EXPECT_EQ(ref.readEntrySizeL2, out.readEntrySizeL2);
+    EXPECT_EQ(ref.inclusiveHierarchy, out.inclusiveHierarchy);
+    EXPECT_EQ(ref.levelLatenciesNs, out.levelLatenciesNs);
+
+    // The policy prober runs its overwrite series as point 0, next
+    // to the tail-ratio points, and writes that analysis into the
+    // result from inside the sweep. Its tail regions sit 1 GB above
+    // the base, past the small DIMM.
+    nvram::NvramConfig wide = vans::test::smallConfig();
+    wide.dimmCapacity = nvram::NvramConfig::optaneDefault().dimmCapacity;
+    lens::PolicyProberParams pp;
+    pp.overwriteIterations = 2000;
+    pp.tailRegions = {256, 4096, 65536};
+    pp.tailSweepBytes = 256ull << 10;
+    auto pref =
+        lens::runPolicyProber(smallFactory(wide), pp, SweepRunner(1));
+    auto pout =
+        lens::runPolicyProber(smallFactory(wide), pp, SweepRunner(4));
+    ASSERT_EQ(pref.overwriteIterationNs.size(), pp.overwriteIterations);
+    ASSERT_EQ(pref.tailRatioCurve.size(), pp.tailRegions.size());
+    EXPECT_GT(pref.tailLatencyUs, 0) << "no migration tail to compare";
+    EXPECT_GT(pref.tailRatioCurve[0].y, 0);
+    EXPECT_EQ(pref.overwriteIterationNs, pout.overwriteIterationNs);
+    EXPECT_EQ(pref.normalWriteNs, pout.normalWriteNs);
+    EXPECT_EQ(pref.tailLatencyUs, pout.tailLatencyUs);
+    EXPECT_EQ(pref.tailIntervalWrites, pout.tailIntervalWrites);
+    expectSameCurve(pref.tailRatioCurve, pout.tailRatioCurve);
+    EXPECT_EQ(pref.wearBlockSize, pout.wearBlockSize);
+
+    nvram::NvramConfig inter = vans::test::smallConfig();
+    inter.numDimms = 6;
+    inter.interleaved = true;
+    lens::PolicyProbe iref, iout;
+    lens::runInterleaveProbe(smallFactory(inter), smallFactory(), iref,
+                             8192, SweepRunner(1));
+    lens::runInterleaveProbe(smallFactory(inter), smallFactory(), iout,
+                             8192, SweepRunner(4));
+    ASSERT_EQ(iref.seqWriteInterleaved.size(), 16u);
+    expectSameCurve(iref.seqWriteInterleaved, iout.seqWriteInterleaved);
+    expectSameCurve(iref.seqWriteSingle, iout.seqWriteSingle);
+    EXPECT_EQ(iref.interleaveGranularity, iout.interleaveGranularity);
 }

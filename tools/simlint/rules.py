@@ -154,7 +154,7 @@ def rule_wallclock(project):
 STATIC_RE = re.compile(r"^\s*static\s+(?P<rest>.*)$")
 STATIC_SAFE_RE = re.compile(
     r"^(const\b|constexpr\b|thread_local\b|std::atomic\b|"
-    r"std::mutex\b|std::once_flag\b|Mutex\b|vans::Mutex\b)")
+    r"std::mutex\b|std::once_flag\b)")
 FUNC_DECL_RE = re.compile(
     r"[A-Za-z_]\w*\s*\([^;]*\)\s*(const\s*)?;?\s*$")
 FUNC_DECL_CONT_RE = re.compile(r"[A-Za-z_]\w*\s*\([^)]*=\s*$")
