@@ -15,6 +15,7 @@
 
 #include "baselines/dram_system.hh"
 #include "bench/bench_util.hh"
+#include "common/sweep.hh"
 #include "lens/driver.hh"
 #include "lens/microbench.hh"
 #include "nvram/vans_system.hh"
@@ -124,37 +125,42 @@ main()
     struct Row
     {
         std::string name;
-        double acc;
+        double acc = 0;
         Metrics metrics;
     };
-    std::vector<Row> rows;
-
-    {
+    // The four worlds are independent, so they run side by side.
+    const std::vector<std::pair<std::string, SystemFactory>> sims = {
+        {"DRAMSim2(DDR3)",
+         [](EventQueue &eq) {
+             return std::make_unique<baselines::DramMainMemory>(
+                 eq, baselines::DramMainMemory::ddr3Params(),
+                 "dramsim2-ddr3");
+         }},
+        {"Ramulator(DDR4)",
+         [](EventQueue &eq) {
+             return std::make_unique<baselines::DramMainMemory>(
+                 eq, baselines::DramMainMemory::ddr4Params(),
+                 "ramulator-ddr4");
+         }},
+        {"Ramulator(PCM)",
+         [](EventQueue &eq) {
+             return std::make_unique<baselines::PcmSystem>(eq);
+         }},
+        {"VANS",
+         [](EventQueue &eq) {
+             return std::make_unique<nvram::VansSystem>(
+                 eq, nvram::NvramConfig::optaneDefault());
+         }},
+    };
+    auto rows = SweepRunner().map<Row>(sims.size(), [&](std::size_t i) {
         EventQueue eq;
-        baselines::DramMainMemory m(
-            eq, baselines::DramMainMemory::ddr3Params(),
-            "dramsim2-ddr3");
-        rows.push_back({"DRAMSim2(DDR3)", 0, measure(m, regions)});
-    }
-    {
-        EventQueue eq;
-        baselines::DramMainMemory m(
-            eq, baselines::DramMainMemory::ddr4Params(),
-            "ramulator-ddr4");
-        rows.push_back({"Ramulator(DDR4)", 0, measure(m, regions)});
-    }
-    {
-        EventQueue eq;
-        baselines::PcmSystem m(eq);
-        rows.push_back({"Ramulator(PCM)", 0, measure(m, regions)});
-    }
-    {
-        EventQueue eq;
-        nvram::VansSystem m(eq, nvram::NvramConfig::optaneDefault());
-        rows.push_back({"VANS", 0, measure(m, regions)});
-    }
-    for (auto &r : rows)
+        auto m = sims[i].second(eq);
+        Row r;
+        r.name = sims[i].first;
+        r.metrics = measure(*m, regions);
         r.acc = avgAccuracy(r.metrics, regions);
+        return r;
+    });
 
     std::printf("\n(a) average accuracy wrt Optane reference\n");
     TextTable t({"simulator", "lat-ld", "lat-st", "bw-ld", "bw-st",

@@ -11,6 +11,7 @@
 
 #include "bench/bench_util.hh"
 #include "cache/hierarchy.hh"
+#include "common/sweep.hh"
 #include "cpu/core.hh"
 #include "nvram/vans_system.hh"
 #include "opt/lazy_cache.hh"
@@ -25,8 +26,8 @@ namespace
 
 struct RunOut
 {
-    Tick elapsed;
-    double tlbMpki;
+    Tick elapsed = 0;
+    double tlbMpki = 0;
 };
 
 RunOut
@@ -76,11 +77,21 @@ main()
     double worst_both = 10;
     double mpki_reduction_sum = 0;
 
-    for (const auto &wl : workloads_list) {
-        auto base = run(wl, false, false);
-        auto lazy = run(wl, true, false);
-        auto pt = run(wl, false, true);
-        auto both = run(wl, true, true);
+    // Every (workload, configuration) run is an independent world;
+    // run i is workload i / 4 with Lazy cache on i & 1 and
+    // Pre-translation on i & 2.
+    auto runs = SweepRunner().map<RunOut>(
+        workloads_list.size() * 4, [&](std::size_t i) {
+            return run(workloads_list[i / 4], (i & 1) != 0,
+                       (i & 2) != 0);
+        });
+
+    for (std::size_t w = 0; w < workloads_list.size(); ++w) {
+        const std::string &wl = workloads_list[w];
+        const RunOut &base = runs[w * 4];
+        const RunOut &lazy = runs[w * 4 + 1];
+        const RunOut &pt = runs[w * 4 + 2];
+        const RunOut &both = runs[w * 4 + 3];
 
         double sp_lazy = static_cast<double>(base.elapsed) /
                          static_cast<double>(lazy.elapsed);
