@@ -140,8 +140,8 @@ main()
 
     check("PMEP: load bandwidth >= its NT-store bandwidth",
           pmep_bw.load >= pmep_bw.storeNt);
-    check("PMEP: store bandwidth >= its NT-store bandwidth "
-          "(the emulator's inversion)",
+    check("PMEP: store bandwidth >= 0.95x its NT-store bandwidth "
+          "(the emulator's inversion, to within 5%)",
           pmep_bw.store >= pmep_bw.storeNt * 0.95);
     check("VANS: NT stores beat cached stores (real-device order)",
           vans_bw.storeNt > vans_bw.store);
