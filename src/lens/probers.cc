@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/check.hh"
 #include "common/logging.hh"
 
 namespace vans::lens
@@ -364,6 +365,13 @@ runBufferProber(const SystemFactory &factory,
     // a fresh world per point (cold fallback when the system cannot
     // snapshot).
     auto ws = sweep.warmOnce(factory, [&p](MemorySystem &sys) {
+        VANS_REQUIRE("lens", sys.eventQueue().curTick(),
+                     p.base + p.maxRegion <= sys.capacity(),
+                     "maxRegion %llu from base %#llx ends past the "
+                     "%llu-byte capacity",
+                     static_cast<unsigned long long>(p.maxRegion),
+                     static_cast<unsigned long long>(p.base),
+                     static_cast<unsigned long long>(sys.capacity()));
         warmCoverage(sys, {{p.base, p.maxRegion}});
     });
 
@@ -484,8 +492,17 @@ runPolicyProber(const SystemFactory &factory,
     auto ws = sweep.warmOnce(factory, [&p](MemorySystem &sys) {
         std::vector<std::pair<Addr, std::uint64_t>> spans;
         spans.emplace_back(p.base, 4096);
-        for (std::size_t i = 0; i < p.tailRegions.size(); ++i)
-            spans.emplace_back(tailBase(p, i), p.tailRegions[i]);
+        for (std::size_t i = 0; i < p.tailRegions.size(); ++i) {
+            Addr at = tailBase(p, i);
+            VANS_REQUIRE("lens", sys.eventQueue().curTick(),
+                         at + p.tailRegions[i] <= sys.capacity(),
+                         "tailRegions[%zu] = %llu at %#llx ends past "
+                         "the %llu-byte capacity",
+                         i, static_cast<unsigned long long>(p.tailRegions[i]),
+                         static_cast<unsigned long long>(at),
+                         static_cast<unsigned long long>(sys.capacity()));
+            spans.emplace_back(at, p.tailRegions[i]);
+        }
         warmCoverage(sys, spans);
     });
 

@@ -227,3 +227,23 @@ TEST(SweepRunner, FactoryProberMatchesAcrossThreadCounts)
     expectSameCurve(iref.seqWriteSingle, iout.seqWriteSingle);
     EXPECT_EQ(iref.interleaveGranularity, iout.interleaveGranularity);
 }
+
+// A prober whose sweep span passes the DIMM's capacity fails before
+// its first access, naming the parameter and the capacity.
+TEST(ProberDeathTest, BufferMaxRegionPastCapacityFails)
+{
+    setQuiet(true);
+    lens::BufferProberParams bp; // 256 MB sweep on a 64 MB DIMM.
+    EXPECT_DEATH(lens::runBufferProber(smallFactory(), bp, SweepRunner(1)),
+                 "maxRegion 268435456 from base 0 ends past the "
+                 "67108864-byte capacity");
+}
+
+TEST(ProberDeathTest, PolicyTailRegionsPastCapacityFails)
+{
+    setQuiet(true);
+    lens::PolicyProberParams pp; // Tail regions from 1 GB up.
+    EXPECT_DEATH(lens::runPolicyProber(smallFactory(), pp, SweepRunner(1)),
+                 "tailRegions\\[0\\] = 256 at 0x40108000 ends past the "
+                 "67108864-byte capacity");
+}
