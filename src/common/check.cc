@@ -2,40 +2,11 @@
 
 #include <cstdarg>
 #include <cstdlib>
-#include <mutex>
 
 #include "common/logging.hh"
-#include "common/stats.hh"
 
 namespace vans::verify
 {
-
-namespace
-{
-
-std::mutex &
-registryMutex()
-{
-    static std::mutex m; // simlint-allow: mutex is its own guard.
-    return m;
-}
-
-std::vector<Site *> &
-registry()
-{
-    // simlint-allow: guarded by registryMutex().
-    static std::vector<Site *> sites;
-    return sites;
-}
-
-} // namespace
-
-Site::Site(const char *subsys, const char *e, const char *f, int l)
-    : subsystem(subsys), expr(e), file(f), line(l)
-{
-    std::lock_guard<std::mutex> lock(registryMutex());
-    registry().push_back(this);
-}
 
 std::string
 Failure::str() const
@@ -82,37 +53,8 @@ envEnabled()
 }
 
 void
-checkStatsInto(StatGroup &stats)
-{
-    std::lock_guard<std::mutex> lock(registryMutex());
-    for (const Site *s : registry()) {
-        std::string name = strFormat("%s.%s:%d", s->subsystem,
-                                     s->file, s->line);
-        stats.scalar(name).set(
-            s->hits.load(std::memory_order_relaxed));
-    }
-}
-
-std::uint64_t
-totalCheckHits()
-{
-    std::lock_guard<std::mutex> lock(registryMutex());
-    std::uint64_t total = 0;
-    for (const Site *s : registry())
-        total += s->hits.load(std::memory_order_relaxed);
-    return total;
-}
-
-std::size_t
-siteCount()
-{
-    std::lock_guard<std::mutex> lock(registryMutex());
-    return registry().size();
-}
-
-void
-failSite(const Site &site, const char *kind, Tick tick,
-         const char *fmt, ...)
+failCheck(const char *kind, const char *subsystem, const char *expr,
+          const char *file, int line, Tick tick, const char *fmt, ...)
 {
     va_list args;
     va_start(args, fmt);
@@ -121,7 +63,7 @@ failSite(const Site &site, const char *kind, Tick tick,
     va_end(args);
 
     panic("%s violated: [%s] `%s` at %s:%d tick=%llu: %s", kind,
-          site.subsystem, site.expr, site.file, site.line,
+          subsystem, expr, file, line,
           static_cast<unsigned long long>(tick), detail);
 }
 

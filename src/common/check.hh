@@ -15,13 +15,11 @@
  *                     map"). Compiled out in Release builds; enabled
  *                     whenever VANS_ENABLE_AUDITS is defined.
  *
- * Every macro expansion owns a Site with an atomic hit counter, so a
- * run can prove its checks actually executed (a checker that never
- * fires is indistinguishable from a checker that never ran). Sites
- * register themselves in a global registry surfaced through Stats by
- * checkStatsInto(). Counting follows the audit tier: pure Release
- * builds evaluate the checks but skip the counter update, keeping
- * the event-kernel hot path free of atomic traffic.
+ * A check is its test and nothing else: it keeps no per-site state,
+ * so a passing check writes nothing that worlds on other sweep
+ * threads share. A shared write per check, such as a hit counter,
+ * would make those threads contend on every evaluation. Death tests
+ * and the checkers' negative tests show that the failure paths work.
  *
  * Failures are structured (subsystem, rule, tick, detail) and abort
  * via panic() by default -- a modeling bug must kill the run before
@@ -33,17 +31,11 @@
 #ifndef VANS_COMMON_CHECK_HH
 #define VANS_COMMON_CHECK_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/types.hh"
-
-namespace vans
-{
-class StatGroup;
-}
 
 namespace vans::verify
 {
@@ -89,25 +81,6 @@ class Monitor
 };
 
 /**
- * Registration record behind one check-macro expansion. Constructed
- * once (thread-safe magic static) and hit-counted with a relaxed
- * atomic so checks stay cheap and race-free under parallelFor.
- */
-struct Site
-{
-    const char *subsystem;
-    const char *expr;
-    const char *file;
-    int line;
-    std::atomic<std::uint64_t> hits{0};
-
-    Site(const char *subsys, const char *e, const char *f, int l);
-
-    Site(const Site &) = delete;
-    Site &operator=(const Site &) = delete;
-};
-
-/**
  * True when the VANS_VERIFY environment variable requests verified
  * runs (1/on/yes/true). Read once and cached; lets CI flip the whole
  * test and bench suite into checked mode without touching call
@@ -115,19 +88,15 @@ struct Site
  */
 bool envEnabled();
 
-/** Export per-site hit counters into @p stats (one scalar each). */
-void checkStatsInto(StatGroup &stats);
-
-/** Total contract evaluations across every site since start. */
-std::uint64_t totalCheckHits();
-
-/** Number of registered check sites. */
-std::size_t siteCount();
-
-/** Build the structured failure report and abort via panic(). */
-[[noreturn]] void failSite(const Site &site, const char *kind,
-                           Tick tick, const char *fmt, ...)
-    __attribute__((format(printf, 4, 5)));
+/**
+ * Report a failed check -- "<kind> violated: [<subsystem>] `<expr>`
+ * at <file>:<line> tick=<tick>: <detail>" -- and abort via panic().
+ * Out of line and cold, so a passing check costs only its test.
+ */
+[[noreturn]] void failCheck(const char *kind, const char *subsystem,
+                            const char *expr, const char *file,
+                            int line, Tick tick, const char *fmt, ...)
+    __attribute__((cold, format(printf, 7, 8)));
 
 } // namespace vans::verify
 
@@ -140,28 +109,11 @@ std::size_t siteCount();
  *   VANS_REQUIRE("lsq", eventq.curTick(), numEntries < cfg.lsqEntries,
  *                "acceptWrite without room (%zu entries)", numEntries);
  */
-/*
- * Hit counting is observability, not correctness: it costs one
- * relaxed atomic add per evaluation, which is measurable on the
- * event-kernel hot path, so pure Release builds (the perf-budgeted
- * bench configuration) keep the checks but drop the counters.
- */
-#ifdef VANS_ENABLE_AUDITS
-#define VANS_CHECK_COUNT(site)                                         \
-    (site).hits.fetch_add(1, std::memory_order_relaxed)
-#else
-#define VANS_CHECK_COUNT(site) ((void)0)
-#endif
-
 #define VANS_CHECK_IMPL(kind, subsys, tick, cond, ...)                 \
     do {                                                               \
-        /* simlint-allow: magic static + atomic hit counter. */        \
-        static ::vans::verify::Site vansCheckSite(                      \
-            subsys, #cond, __FILE__, __LINE__);                        \
-        VANS_CHECK_COUNT(vansCheckSite);                               \
         if (__builtin_expect(!(cond), 0)) {                            \
-            ::vans::verify::failSite(vansCheckSite, kind, tick,         \
-                                    __VA_ARGS__);                      \
+            ::vans::verify::failCheck(kind, subsys, #cond, __FILE__,   \
+                                      __LINE__, tick, __VA_ARGS__);    \
         }                                                              \
     } while (0)
 

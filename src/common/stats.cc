@@ -18,11 +18,9 @@ StatEntry::StatEntry(StatGroup &group, Kind kind, const char *name)
     int order = 1;
     while (*at && (order = std::strcmp((*at)->statName, name)) < 0)
         at = &(*at)->next;
-    // A plain panic, not a check macro: checkStatsInto registers
-    // scalars while it holds the check-site registry's lock.
-    if (order == 0)
-        panic("stat group \"%s\" registers \"%s\" twice",
-              group.name().c_str(), name);
+    VANS_REQUIRE("stats", 0, order != 0,
+                 "stat group \"%s\" registers \"%s\" twice",
+                 group.name().c_str(), name);
     next = *at;
     *at = this;
 }

@@ -169,13 +169,11 @@ NvmInvariantChecker::finalCheck(VansSystem &sys, bool queue_drained)
     }
 }
 
-Verifier::Verifier(const EventQueue &eq, const NvramConfig &cfg,
-                   const std::string &name)
+Verifier::Verifier(const EventQueue &eq, const NvramConfig &cfg)
     : mon(/*fail_fast=*/true),
       lifeChecker(eq, mon),
       invChecker(eq, cfg, mon),
-      persistChecker(mon),
-      statGroup(name + ".verify")
+      persistChecker(mon)
 {}
 
 void
@@ -198,20 +196,6 @@ Verifier::finalCheck(VansSystem &sys, bool queue_drained)
 {
     lifeChecker.finalCheck(queue_drained);
     invChecker.finalCheck(sys, queue_drained);
-}
-
-StatGroup &
-Verifier::stats()
-{
-    statGroup.scalar("requests_issued").set(lifeChecker.issued());
-    statGroup.scalar("requests_retired").set(lifeChecker.retired());
-    statGroup.scalar("peak_in_flight").set(lifeChecker.peakInFlight());
-    statGroup.scalar("audits").set(invChecker.audits());
-    statGroup.scalar("persist_violations")
-        .set(persistChecker.violations());
-    statGroup.scalar("failures").set(mon.reported());
-    verify::checkStatsInto(statGroup);
-    return statGroup;
 }
 
 } // namespace vans::nvram

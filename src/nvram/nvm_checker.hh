@@ -35,7 +35,6 @@
 #include "common/event_queue.hh"
 #include "common/lifecycle.hh"
 #include "common/request.hh"
-#include "common/stats.hh"
 #include "nvram/nvram_config.hh"
 
 namespace vans::nvram
@@ -119,8 +118,7 @@ class NvmInvariantChecker
 class Verifier
 {
   public:
-    Verifier(const EventQueue &eq, const NvramConfig &cfg,
-             const std::string &name);
+    Verifier(const EventQueue &eq, const NvramConfig &cfg);
 
     /**
      * Observe an issued request: registers it with the lifecycle
@@ -147,15 +145,11 @@ class Verifier
         return persistChecker;
     }
 
-    /** Refresh and return the verifier's stat group. */
-    StatGroup &stats();
-
   private:
     verify::Monitor mon;
     verify::RequestLifecycleChecker lifeChecker;
     NvmInvariantChecker invChecker;
     persist::PersistenceChecker persistChecker;
-    StatGroup statGroup;
 };
 
 } // namespace vans::nvram

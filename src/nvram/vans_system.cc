@@ -22,7 +22,7 @@ VansSystem::VansSystem(EventQueue &eq, const NvramConfig &config,
       poolStats(sysName + ".reqpool")
 {
     if (cfg.verify || verify::envEnabled()) {
-        verif = std::make_unique<Verifier>(eventq, cfg, sysName);
+        verif = std::make_unique<Verifier>(eventq, cfg);
         imcModel.lifecycle = &verif->lifecycle();
     }
     if (cfg.trace || obs::envTraceEnabled()) {

@@ -13,7 +13,7 @@
 #include "common/check.hh"
 #include "common/event_queue.hh"
 #include "common/lifecycle.hh"
-#include "common/stats.hh"
+#include "common/logging.hh"
 #include "dram/checker.hh"
 #include "dram/controller.hh"
 #include "lens/microbench.hh"
@@ -25,38 +25,19 @@ using vans::test::VansFixture;
 
 // ---- Contract framework -------------------------------------------
 
-TEST(CheckFramework, SitesRegisterAndCountHits)
-{
-    std::size_t sites_before = verify::siteCount();
-    std::uint64_t hits_before = verify::totalCheckHits();
-
-    for (int i = 0; i < 5; ++i)
-        VANS_REQUIRE("test", 0, i >= 0, "impossible %d", i);
-
-    // The loop body expands one site, hit five times. Release
-    // builds register sites but skip the hit counting.
-    EXPECT_GE(verify::siteCount(), sites_before + 1);
-#ifdef VANS_ENABLE_AUDITS
-    EXPECT_GE(verify::totalCheckHits(), hits_before + 5);
-#else
-    EXPECT_GE(verify::totalCheckHits(), hits_before);
-#endif
-}
-
-TEST(CheckFramework, StatsExportNamesSites)
-{
-    VANS_INVARIANT("test.stats", 0, true, "never fails");
-    StatGroup stats("checks");
-    verify::checkStatsInto(stats);
-    // The site above must appear under a name carrying its subsystem.
-    EXPECT_NE(stats.dump().find("test.stats"), std::string::npos);
-}
-
 TEST(CheckFrameworkDeath, RequirePanicsWithContext)
 {
-    EXPECT_DEATH(
-        VANS_REQUIRE("test.fatal", 42, 1 == 2, "%d != %d", 1, 2),
-        "require violated.*test\\.fatal.*tick=42");
+    auto fail = [] {
+        VANS_REQUIRE("test.fatal", 42, 1 == 2, "%d != %d", 1, 2);
+    };
+    const int line = __LINE__ - 2;
+    // The whole report: kind, subsystem, expression text, call site,
+    // tick and detail.
+    EXPECT_DEATH(fail(),
+                 strFormat("require violated: \\[test\\.fatal\\] "
+                           "`1 == 2` at .*test_verify\\.cc:%d "
+                           "tick=42: 1 != 2",
+                           line));
 }
 
 TEST(CheckFramework, MonitorAccumulatesWhenNotFailFast)
@@ -344,7 +325,6 @@ TEST(VerifiedRun, TrafficStaysCleanAndIsAudited)
     EXPECT_EQ(v.lifecycle().issued(), v.lifecycle().retired());
     EXPECT_EQ(v.lifecycle().inFlight(), 0u);
     EXPECT_GT(v.invariants().audits(), 0u);
-    EXPECT_GT(v.stats().scalarValue("requests_issued"), 0.0);
 }
 
 TEST(VerifiedRun, WearMigrationsStayAccounted)

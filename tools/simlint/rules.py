@@ -218,8 +218,6 @@ def rule_tracebyvalue(project):
 THREADING_OWNER_FILES = (
     "src/common/parallel.hh",
     "src/common/parallel.cc",
-    "src/common/check.hh",
-    "src/common/check.cc",
     "src/common/logging.cc",
 )
 THREADING_RE = re.compile(
