@@ -13,11 +13,8 @@
  *      out).
  */
 
-#include <fstream>
-
 #include "bench/bench_util.hh"
 #include "cache/tlb.hh"
-#include "common/config.hh"
 #include "common/sweep.hh"
 #include "lens/probers.hh"
 #include "nvram/vans_system.hh"
@@ -25,44 +22,19 @@
 using namespace vans;
 using namespace vans::bench;
 
-namespace
-{
-
-/**
- * Load the real 6-DIMM interleaved socket description so the
- * interleave detector runs against the shipped topology file, not a
- * hand-edited default. Falls back across the usual run directories
- * (repo root, build/).
- */
-nvram::NvramConfig
-load6DimmConfig()
-{
-    const char *paths[] = {"configs/optane_6dimm_interleaved.cfg",
-                           "../configs/optane_6dimm_interleaved.cfg"};
-    for (const char *p : paths) {
-        std::ifstream probe(p);
-        if (probe.good())
-            return nvram::NvramConfig::fromConfig(Config::fromFile(p));
-    }
-    // Run from an unexpected cwd: reconstruct the same socket.
-    nvram::NvramConfig inter = nvram::NvramConfig::optaneDefault();
-    inter.numDimms = 6;
-    inter.interleaved = true;
-    return inter;
-}
-
-} // namespace
-
 int
 main()
 {
     banner("Figure 7", "LENS policy prober on VANS");
 
     // ---- (a) interleaving ------------------------------------------
+    // The interleave detector runs against the shipped 6-DIMM socket
+    // file, not a hand-edited default.
+    const nvram::NvramConfig six = nvram::NvramConfig::fromFile(
+        VANS_SOURCE_DIR "/configs/optane_6dimm_interleaved.cfg");
     SweepRunner sweep;
-    SystemFactory factory_i = [](EventQueue &eq) {
-        return std::make_unique<nvram::VansSystem>(
-            eq, load6DimmConfig(), "vans-6dimm");
+    SystemFactory factory_i = [six](EventQueue &eq) {
+        return std::make_unique<nvram::VansSystem>(eq, six, "vans-6dimm");
     };
     SystemFactory factory_s = [](EventQueue &eq) {
         return std::make_unique<nvram::VansSystem>(

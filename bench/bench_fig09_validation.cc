@@ -14,7 +14,6 @@
  */
 
 #include "bench/bench_util.hh"
-#include "common/config.hh"
 #include "common/sweep.hh"
 #include "lens/microbench.hh"
 #include "lens/probers.hh"
@@ -79,8 +78,7 @@ main(int argc, char **argv)
     // alone. App Direct remains the default.
     nvram::NvramConfig base = nvram::NvramConfig::optaneDefault();
     if (argc > 1) {
-        base = nvram::NvramConfig::fromConfig(
-            Config::fromFile(argv[1]));
+        base = nvram::NvramConfig::fromFile(argv[1]);
         std::printf("config: %s (%s mode)\n\n", argv[1],
                     base.memoryMode() ? "memory" : "app_direct");
     }

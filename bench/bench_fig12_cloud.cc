@@ -15,7 +15,6 @@
 
 #include "bench/bench_util.hh"
 #include "cache/hierarchy.hh"
-#include "common/config.hh"
 #include "cpu/core.hh"
 #include "nvram/vans_system.hh"
 #include "workloads/cloud.hh"
@@ -33,8 +32,7 @@ main(int argc, char **argv)
     // the cloud workloads in Memory mode (2LM) from config alone.
     nvram::NvramConfig base = nvram::NvramConfig::optaneDefault();
     if (argc > 1) {
-        base = nvram::NvramConfig::fromConfig(
-            Config::fromFile(argv[1]));
+        base = nvram::NvramConfig::fromFile(argv[1]);
         std::printf("config: %s (%s mode)\n", argv[1],
                     base.memoryMode() ? "memory" : "app_direct");
     }

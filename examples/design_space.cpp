@@ -16,7 +16,6 @@
 
 #include "common/logging.hh"
 #include "common/ascii_chart.hh"
-#include "common/config.hh"
 #include "common/curve.hh"
 #include "common/event_queue.hh"
 #include "lens/driver.hh"
@@ -67,8 +66,7 @@ main(int argc, char **argv)
     setQuiet(true);
 
     if (argc > 1) {
-        auto file = Config::fromFile(argv[1]);
-        auto cfg = nvram::NvramConfig::fromConfig(file);
+        auto cfg = nvram::NvramConfig::fromFile(argv[1]);
         std::printf("Evaluating config '%s'\n\n", argv[1]);
         evaluate(cfg, "custom");
         return 0;

@@ -84,7 +84,7 @@ class Monitor
  * True when the VANS_VERIFY environment variable requests verified
  * runs (1/on/yes/true). Read once and cached; lets CI flip the whole
  * test and bench suite into checked mode without touching call
- * sites. The [nvram] verify config key overrides per system.
+ * sites. NvramConfig::verify turns it on for one system.
  */
 bool envEnabled();
 

@@ -100,8 +100,8 @@ class MemorySystem
 
     /**
      * The attached trace recorder, or nullptr when this system runs
-     * untraced ([trace] enable and VANS_TRACE both off, or the model
-     * has no instrumentation). Probers and drivers use this to add
+     * untraced (tracing not asked for, or the model has no
+     * instrumentation). Probers and drivers use this to add
      * their own tracks to the same recording.
      */
     virtual obs::TraceRecorder *tracer() { return nullptr; }
@@ -111,13 +111,6 @@ class MemorySystem
      * machine-readable export. Default: nothing to report.
      */
     virtual void metricsInto(MetricsRegistry &reg) { (void)reg; }
-
-    /**
-     * Warm-world fork support (common/snapshot.hh). A system that
-     * returns true from snapshotSupported() must implement the
-     * serialize/restore pair and a meaningful quiescent().
-     */
-    virtual bool snapshotSupported() const { return false; }
 
     /**
      * True when no request is in flight anywhere in the model (the
@@ -157,7 +150,9 @@ class MemorySystem
     }
 
     /** Capture the full warm state into @p ar, or restore it from
-     *  there (common/snapshot.hh). */
+     *  there (common/snapshot.hh). A system with snapshot support
+     *  overrides this and quiescent(); the base fails, naming the
+     *  system. */
     virtual void
     serialize(snapshot::Archive &ar)
     {
@@ -255,9 +250,7 @@ class MemorySystem
 /**
  * Builds a fresh memory system clocked by @p eq. Parallel sweeps
  * clone one simulated machine per sweep point through a factory,
- * so no simulated state crosses threads; the Driver& prober entry
- * points remain for single-instance (hardware-like) targets that
- * cannot be cloned.
+ * so no simulated state crosses threads.
  */
 using SystemFactory =
     std::function<std::unique_ptr<MemorySystem>(EventQueue &)>;

@@ -168,8 +168,6 @@ serializeWorld(Archive &ar, EventQueue &eq, MemorySystem &sys)
 WorldSnapshot
 WorldSnapshot::capture(EventQueue &eq, MemorySystem &sys)
 {
-    VANS_REQUIRE("snapshot", eq.curTick(), sys.snapshotSupported(),
-                 "capture of a system without snapshot support");
     VANS_REQUIRE("snapshot", eq.curTick(), sys.quiescent(),
                  "capture of a non-quiescent world");
     StateSink sink;
@@ -185,8 +183,6 @@ WorldSnapshot::restoreInto(EventQueue &eq, MemorySystem &sys) const
 {
     VANS_REQUIRE("snapshot", eq.curTick(), valid(),
                  "restore from an empty snapshot");
-    VANS_REQUIRE("snapshot", eq.curTick(), sys.snapshotSupported(),
-                 "restore into a system without snapshot support");
     StateSource src(image);
     Archive ar(src);
     serializeWorld(ar, eq, sys);

@@ -23,7 +23,6 @@
 #define VANS_COMMON_SWEEP_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -67,53 +66,43 @@ class SweepRunner
     }
 
     /**
-     * A captured warm world: the reusable product of warmOnce().
-     * Holds the factory, the warm-up routine (for the cold fallback)
-     * and, when the system supports snapshotting, the WorldSnapshot
-     * taken at quiescence. One WarmStart can feed any number of
-     * mapForked() sweeps -- multi-stage probers warm once and fork
-     * every stage from the same image.
+     * A captured warm world: the reusable product of warmOnce(). One
+     * WarmStart can feed any number of mapForked() sweeps --
+     * multi-stage probers warm once and fork every stage from the
+     * same image.
      */
     struct WarmStart
     {
         SystemFactory factory;
-        std::function<void(MemorySystem &)> warm;
-        snapshot::WorldSnapshot snap; ///< empty => cold fallback
-
-        bool forked() const { return snap.valid(); }
+        snapshot::WorldSnapshot snap;
     };
 
     /**
      * Run @p warm on one prototype world built from @p factory, step
-     * it to quiescence and capture its snapshot. When the factory's
-     * system does not support snapshots, the returned WarmStart
-     * instead remembers @p warm so mapForked() can re-run it per
-     * point (the cold fallback).
+     * it to quiescence and capture its snapshot. Capturing a system
+     * without snapshot support fails in MemorySystem::serialize,
+     * naming the system.
      */
+    template <typename WarmFn>
     WarmStart
-    warmOnce(const SystemFactory &factory,
-             std::function<void(MemorySystem &)> warm) const
+    warmOnce(const SystemFactory &factory, WarmFn &&warm) const
     {
         WarmStart ws;
         ws.factory = factory;
-        ws.warm = std::move(warm);
         EventQueue eq;
         std::unique_ptr<MemorySystem> proto = ws.factory(eq);
-        if (proto->snapshotSupported()) {
-            ws.warm(*proto);
-            proto->drain();
-            ws.snap = snapshot::WorldSnapshot::capture(eq, *proto);
-        }
+        warm(*proto);
+        proto->drain();
+        ws.snap = snapshot::WorldSnapshot::capture(eq, *proto);
         return ws;
     }
 
     /**
      * Evaluate fn(MemorySystem&, i) for i in [0, n), each point on a
-     * freshly built world forked from @p ws: restored from its
-     * snapshot in O(state), or -- cold fallback -- re-warmed from
-     * scratch. Either way every point sees the identical quiescent
-     * warm state, so results are bit-identical to the serial
-     * cold-per-point run whatever the thread count.
+     * freshly built world restored from @p ws's snapshot in O(state).
+     * Every point sees the identical quiescent warm state, so results
+     * are bit-identical to the serial cold-per-point run whatever the
+     * thread count.
      */
     template <typename R, typename PointFn>
     std::vector<R>
@@ -123,12 +112,7 @@ class SweepRunner
         parallelFor(n, threads, [&](std::size_t i) {
             EventQueue eq;
             std::unique_ptr<MemorySystem> sys = ws.factory(eq);
-            if (ws.snap.valid()) {
-                ws.snap.restoreInto(eq, *sys);
-            } else {
-                ws.warm(*sys);
-                sys->drain();
-            }
+            ws.snap.restoreInto(eq, *sys);
             out[i] = fn(*sys, i);
         });
         return out;
@@ -140,7 +124,7 @@ class SweepRunner
      * warm(MemorySystem&) on it, steps it to quiescence and captures
      * a WorldSnapshot; then evaluates fn(MemorySystem&, i) for i in
      * [0, n), each point on a freshly built world restored from the
-     * snapshot (or re-warmed, for systems without snapshot support).
+     * snapshot.
      */
     template <typename R, typename WarmFn, typename PointFn>
     std::vector<R>

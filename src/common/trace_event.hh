@@ -25,8 +25,8 @@
  *    (AIT track).
  *
  * Disabled-path cost: components hold a raw `TraceRecorder *` that is
- * nullptr unless tracing is on ([trace] enable or VANS_TRACE=1); every
- * instrumentation site is one branch on that cached pointer and
+ * nullptr unless tracing is on (NvramConfig::trace or VANS_TRACE=1);
+ * every instrumentation site is one branch on that cached pointer and
  * allocates nothing. simlint's `tracebyvalue` rule enforces the
  * pointer-only discipline in src/.
  *

@@ -20,8 +20,8 @@
  *
  * Verifier bundles everything a verified system needs -- a Monitor,
  * the RequestLifecycleChecker and the NvmInvariantChecker -- and is
- * owned by VansSystem when verification is on ([nvram] verify=on or
- * the VANS_VERIFY environment variable).
+ * owned by VansSystem when verification is on (NvramConfig::verify
+ * or the VANS_VERIFY environment variable).
  */
 
 #ifndef VANS_NVRAM_NVM_CHECKER_HH

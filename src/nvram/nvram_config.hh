@@ -1,6 +1,7 @@
 /**
  * @file
- * All tunable parameters of the VANS NVRAM model in one place.
+ * All tunable parameters of the VANS NVRAM model in one place, and
+ * the schema that reads them from an INI file.
  *
  * Defaults reproduce the Optane DIMM parameters characterized in the
  * paper (Fig 4 / Table V): 512B WPQ per channel, 4KB on-DIMM LSQ with
@@ -14,8 +15,9 @@
 #define VANS_NVRAM_NVRAM_CONFIG_HH
 
 #include <cstdint>
+#include <span>
+#include <string>
 
-#include "common/config.hh"
 #include "common/types.hh"
 #include "dram/timing.hh"
 
@@ -126,26 +128,23 @@ struct NvramConfig
     // ---- Verification ----------------------------------------------
     /** Run with the model-integrity verifier attached (lifecycle +
      *  pipeline invariant checkers). The VANS_VERIFY environment
-     *  variable turns this on globally; the [nvram] verify config key
-     *  turns it on per system. Checking is passive -- it never
-     *  perturbs simulated timing. */
+     *  variable turns this on for every system. Checking is passive
+     *  -- it never perturbs simulated timing. */
     bool verify = false;
 
     // ---- Observability ---------------------------------------------
     /** Run with the trace recorder attached (per-request spans +
      *  per-component tracks, exported as Chrome trace-event JSON).
-     *  The VANS_TRACE environment variable turns this on globally;
-     *  the [trace] enable config key turns it on per system. Tracing
-     *  is passive -- it never perturbs simulated timing. */
+     *  The VANS_TRACE environment variable turns this on for every
+     *  system. Tracing is passive -- it never perturbs simulated
+     *  timing. */
     bool trace = false;
 
     /**
      * Reject, via a fatal() that names the key, a configuration no
-     * world can run: zero DIMMs, queues or partitions, a
-     * non-power-of-two size or interleave granularity, an interleave
-     * wider than a DIMM, a zero wear threshold or a negative
-     * core-to-iMC hop. Called by fromConfig() at parse time and by
-     * the iMC at construction.
+     * world can run: any member outside its nvramKeys() rule, or an
+     * interleave wider than a DIMM. Called by fromString() at parse
+     * time and by the iMC at construction.
      */
     void validate() const;
 
@@ -155,9 +154,57 @@ struct NvramConfig
     /** Table V defaults (what the validated runs use). */
     static NvramConfig optaneDefault();
 
-    /** Apply overrides from a parsed Config ([nvram] section). */
-    static NvramConfig fromConfig(const Config &cfg);
+    /**
+     * The defaults overridden by INI text: `key = value` lines under
+     * one or more `[nvram]` headers, with `#` and `;` comments. A
+     * later duplicate key overrides an earlier one. fatal() names
+     * the line, section or key of anything else: another section, a
+     * key above the first header, a key outside nvramKeys(), or a
+     * value that is not one whole token satisfying its key's rule.
+     */
+    static NvramConfig fromString(const std::string &text);
+
+    /** fromString() on the contents of @p path; fatal() names the
+     *  path when it cannot be read. */
+    static NvramConfig fromFile(const std::string &path);
 };
+
+/** How an [nvram] value is spelled, and which values hold. */
+enum class KeyRule : std::uint8_t
+{
+    Count,    ///< A whole number in [min, max]; K/M/G suffixes scale.
+    Size,     ///< A power-of-two byte count in [min, max]; K/M/G too.
+    Duration, ///< A finite number in [min, max], in the key's unit.
+    Flag,     ///< true/false, yes/no, on/off or 1/0.
+    Mode,     ///< app_direct or memory.
+};
+
+/**
+ * One row of the [nvram] schema: a key, its NvramConfig member and
+ * the rule its value must satisfy. Every value passes through a
+ * double: a count or size is exact below 2^53, a flag or mode reads
+ * 0 or 1.
+ */
+struct NvramKey
+{
+    const char *name;
+    KeyRule rule;
+    double min;
+    double max;
+    double (*get)(const NvramConfig &);
+    /** Store @p v, which satisfies this row's rule, into the member. */
+    void (*set)(NvramConfig &, double v);
+};
+
+/** The [nvram] schema: one row per key, in NvramConfig order. */
+std::span<const NvramKey> nvramKeys();
+
+/**
+ * Parse a byte count with an optional binary suffix: "16K" -> 16384,
+ * "4M", "2G", "64B", plain numbers otherwise. fatal() on anything
+ * else, or on a value that is not a whole number in [0, 2^64).
+ */
+std::uint64_t parseSize(const std::string &value);
 
 } // namespace vans::nvram
 

@@ -63,13 +63,13 @@ class VansSystem : public MemorySystem
 
     /**
      * The attached verifier, or nullptr when the system runs
-     * unverified ([nvram] verify and VANS_VERIFY both off).
+     * unverified (NvramConfig::verify and VANS_VERIFY both off).
      */
     Verifier *verifier() { return verif.get(); }
 
     /**
      * The owned trace recorder, or nullptr when the system runs
-     * untraced ([trace] enable and VANS_TRACE both off). This is the
+     * untraced (NvramConfig::trace and VANS_TRACE both off). This is the
      * single owner the whole component tree points into.
      */
     obs::TraceRecorder *tracer() override { return rec.get(); }
@@ -85,7 +85,6 @@ class VansSystem : public MemorySystem
     const StatGroup &requestStats() const { return reqStats; }
 
     /** Warm-world fork support (common/snapshot.hh). */
-    bool snapshotSupported() const override { return true; }
     bool quiescent() const override;
     void serialize(snapshot::Archive &ar) override;
 

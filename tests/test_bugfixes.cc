@@ -5,7 +5,7 @@
  *  - Zipfian::next could return rank == n when the uniform draw
  *    landed close enough to 1.0 (out-of-range hot-key index);
  *  - logSweep(0, hi, f) spun forever because 0 * factor stays 0;
- *  - Config::parseSize cast negative / non-finite doubles straight
+ *  - parseSize cast negative / non-finite doubles straight
  *    to uint64_t (undefined behavior) and rejected a plain "b"
  *    byte suffix;
  *  - writeTraceFile emitted an address and dependency flag for
@@ -14,26 +14,32 @@
  *  - NvramConfig::validate accepted sizes, queue depths and a hop
  *    latency no world can run with: SIGFPEs, hangs and mid-run
  *    panics instead of a parse-time error naming the key;
- *  - NvramConfig::fromConfig ignored an [nvram] or [trace] key it
- *    did not read, so a misspelled key ran on the default.
+ *  - NvramConfig parsing ignored a key it did not read, another
+ *    section and a key above the first header, so a misspelled key
+ *    ran on the default; it truncated "2.7" to 2, wrapped
+ *    4294967297 to 1 and read "abc" as 0.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/config.hh"
 #include "common/curve.hh"
 #include "common/event_queue.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "lens/driver.hh"
 #include "nvram/vans_system.hh"
+#include "tests/test_util.hh"
 #include "trace/trace.hh"
 #include "workloads/zipfian.hh"
 
@@ -105,7 +111,7 @@ TEST(LogSweep, LowerBoundOneStillSweeps)
         EXPECT_EQ(pts[i], pts[i - 1] * 2);
 }
 
-// ---- Config::parseSize ----------------------------------------------
+// ---- parseSize ------------------------------------------------------
 
 TEST(ParseSizeDeathTest, NegativeAndNonFiniteValuesAreRejected)
 {
@@ -113,27 +119,28 @@ TEST(ParseSizeDeathTest, NegativeAndNonFiniteValuesAreRejected)
     // Pre-fix these cast a negative / NaN double to uint64_t --
     // undefined behavior that in practice produced huge garbage
     // capacities instead of an error.
-    EXPECT_DEATH(Config::parseSize("-1k"), "finite non-negative");
-    EXPECT_DEATH(Config::parseSize("-0.5G"), "finite non-negative");
-    EXPECT_DEATH(Config::parseSize("nan"), "finite non-negative");
-    EXPECT_DEATH(Config::parseSize("inf"), "finite non-negative");
-    EXPECT_DEATH(Config::parseSize("xyz"), "no leading number");
-    EXPECT_DEATH(Config::parseSize("12q"), "unknown size suffix");
+    EXPECT_DEATH(nvram::parseSize("-1k"), "finite non-negative");
+    EXPECT_DEATH(nvram::parseSize("-0.5G"), "finite non-negative");
+    EXPECT_DEATH(nvram::parseSize("nan"), "finite non-negative");
+    EXPECT_DEATH(nvram::parseSize("inf"), "finite non-negative");
+    EXPECT_DEATH(nvram::parseSize("1e30"), "finite non-negative");
+    EXPECT_DEATH(nvram::parseSize("xyz"), "no leading number");
+    EXPECT_DEATH(nvram::parseSize("12q"), "unknown size suffix");
 }
 
 TEST(ParseSize, AcceptsByteSuffixAndKeepsExistingOnes)
 {
     // "64b" / "64B" used to hit the unknown-suffix fatal even though
     // every other magnitude had a suffix spelling.
-    EXPECT_EQ(Config::parseSize("64b"), 64u);
-    EXPECT_EQ(Config::parseSize("64B"), 64u);
-    EXPECT_EQ(Config::parseSize("64"), 64u);
-    EXPECT_EQ(Config::parseSize("1k"), 1024u);
-    EXPECT_EQ(Config::parseSize("2KiB"), 2048u);
-    EXPECT_EQ(Config::parseSize("3M"), 3u << 20);
-    EXPECT_EQ(Config::parseSize("1.5k"), 1536u);
-    EXPECT_EQ(Config::parseSize("4G"), 4ull << 30);
-    EXPECT_EQ(Config::parseSize("0"), 0u);
+    EXPECT_EQ(nvram::parseSize("64b"), 64u);
+    EXPECT_EQ(nvram::parseSize("64B"), 64u);
+    EXPECT_EQ(nvram::parseSize("64"), 64u);
+    EXPECT_EQ(nvram::parseSize("1k"), 1024u);
+    EXPECT_EQ(nvram::parseSize("2KiB"), 2048u);
+    EXPECT_EQ(nvram::parseSize("3M"), 3u << 20);
+    EXPECT_EQ(nvram::parseSize("1.5k"), 1536u);
+    EXPECT_EQ(nvram::parseSize("4G"), 4ull << 30);
+    EXPECT_EQ(nvram::parseSize("0"), 0u);
 }
 
 // ---- NvramConfig::validate --------------------------------------------
@@ -155,15 +162,31 @@ const BadNvramInput badNvramInputs[] = {
      [](nvram::NvramConfig &c) { c.rmwLineBytes = 0; }},
     {"media_partitions", "0",
      [](nvram::NvramConfig &c) { c.mediaPartitions = 0; }},
+    {"wear_block_bytes", "0",
+     [](nvram::NvramConfig &c) { c.wearBlockBytes = 0; }},
     // Hang: an empty queue never accepts a write.
     {"lsq_entries", "0", [](nvram::NvramConfig &c) { c.lsqEntries = 0; }},
     {"rmw_entries", "0", [](nvram::NvramConfig &c) { c.rmwEntries = 0; }},
+    {"wpq_entries", "0", [](nvram::NvramConfig &c) { c.wpqEntries = 0; }},
+    // Hang: a NaN write latency never completes.
+    {"media_write_ns", "nan",
+     [](nvram::NvramConfig &c) { c.mediaWriteNs = std::nan(""); }},
+    // Panic mid-run: the event queue drains with a read still queued.
+    {"rpq_entries", "0", [](nvram::NvramConfig &c) { c.rpqEntries = 0; }},
+    // Panic mid-run in the AIT buffer's LRU.
+    {"ait_buf_entries", "0",
+     [](nvram::NvramConfig &c) { c.aitBufEntries = 0; }},
     // Panic mid-run in the wear leveler.
     {"wear_threshold", "0",
      [](nvram::NvramConfig &c) { c.wearThreshold = 0; }},
     // Panic in the event queue: the arrival lands in the past.
     {"core_to_imc_ns", "-5",
      [](nvram::NvramConfig &c) { c.coreToImcNs = -5; }},
+    {"media_read_ns", "-5",
+     [](nvram::NvramConfig &c) { c.mediaReadNs = -5; }},
+    // A negative double cast to an unsigned Tick.
+    {"lsq_epoch_ns", "-1",
+     [](nvram::NvramConfig &c) { c.lsqEpochNs = -1; }},
     // Silently misaligned lines.
     {"ait_line_bytes", "100",
      [](nvram::NvramConfig &c) { c.aitLineBytes = 100; }},
@@ -182,9 +205,10 @@ TEST_P(NvramConfigDeathTest, RejectedAtParseAndAtImcNamingTheKey)
     setQuiet(true);
     const BadNvramInput &in = GetParam();
     std::string must = std::string(in.key) + " must";
-    Config raw = Config::fromString(std::string("[nvram]\n") + in.key +
-                                    " = " + in.value + "\n");
-    EXPECT_DEATH(nvram::NvramConfig::fromConfig(raw), must);
+    EXPECT_DEATH(nvram::NvramConfig::fromString(
+                     std::string("[nvram]\n") + in.key + " = " +
+                     in.value + "\n"),
+                 must);
     nvram::NvramConfig cfg = nvram::NvramConfig::optaneDefault();
     in.apply(cfg);
     EXPECT_DEATH(
@@ -201,6 +225,35 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(info.param.key);
     });
 
+// Pre-fix each of these ran on a value other than the one written:
+// truncated, wrapped, read as 0, cast out of range, or ignored. The
+// message quotes the value as written.
+TEST(NvramParseDeathTest, ValuesReadWrongAreRejectedNamingTheKey)
+{
+    setQuiet(true);
+    struct Case
+    {
+        const char *text;
+        const char *message;
+    };
+    const Case cases[] = {
+        {"[nvram]\nnum_dimms = 2.7\n", "num_dimms must .*'2.7'"},
+        {"[nvram]\nnum_dimms = 4294967297\n",
+         "num_dimms must .*'4294967297'"},
+        {"[nvram]\nrmw_entries = 4294967296\n",
+         "rmw_entries must .*'4294967296'"},
+        {"[nvram]\ncore_to_imc_ns = abc\n", "core_to_imc_ns must .*'abc'"},
+        {"[nvram]\ndimm_capacity = 1e30\n", "dimm_capacity must .*'1e30'"},
+        {"[nvarm]\nrmw_entries = 64\n", "unknown section \\[nvarm\\]"},
+        {"rmw_entries = 64\n[nvram]\n",
+         "key 'rmw_entries' above the \\[nvram\\] header"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.text);
+        EXPECT_DEATH(nvram::NvramConfig::fromString(c.text), c.message);
+    }
+}
+
 TEST(NvramConfig, EveryShippedConfigParses)
 {
     unsigned parsed = 0;
@@ -209,8 +262,7 @@ TEST(NvramConfig, EveryShippedConfigParses)
         if (entry.path().extension() != ".cfg")
             continue;
         SCOPED_TRACE(entry.path().string());
-        Config raw = Config::fromFile(entry.path().string());
-        nvram::NvramConfig::fromConfig(raw).validate();
+        nvram::NvramConfig::fromFile(entry.path().string()).validate();
         ++parsed;
     }
     EXPECT_GE(parsed, 4u);
@@ -221,12 +273,84 @@ TEST(NvramConfig, EveryShippedConfigParses)
 TEST(UnknownConfigKeyDeathTest, RejectedAtParseNamingTheKey)
 {
     setQuiet(true);
-    Config nv = Config::fromString("[nvram]\nrmw_entriesz = 64\n");
-    EXPECT_DEATH(nvram::NvramConfig::fromConfig(nv),
-                 "\\[nvram\\] unknown key 'rmw_entriesz'");
-    Config tr = Config::fromString("[trace]\nenabled = true\n");
-    EXPECT_DEATH(nvram::NvramConfig::fromConfig(tr),
-                 "\\[trace\\] unknown key 'enabled'");
+    EXPECT_DEATH(
+        nvram::NvramConfig::fromString("[nvram]\nrmw_entriesz = 64\n"),
+        "\\[nvram\\] unknown key 'rmw_entriesz'");
+    EXPECT_DEATH(
+        nvram::NvramConfig::fromString("[trace]\nenabled = true\n"),
+        "unknown section \\[trace\\]");
+}
+
+// ---- Config fuzz from the schema --------------------------------------
+
+namespace
+{
+
+/**
+ * Parse @p probe as the value of @p key alone, then run it: a
+ * smallConfig() world with that one key changed takes 300 mixed
+ * reads, NT stores, clwbs and fences inside capacity() and drains to
+ * quiescence. Exits 0 after printing "probe ran".
+ */
+[[noreturn]] void
+runProbe(const nvram::NvramKey &key, const std::string &probe)
+{
+    nvram::NvramConfig parsed = nvram::NvramConfig::fromString(
+        std::string("[nvram]\n") + key.name + " = " + probe + "\n");
+    nvram::NvramConfig cfg = test::smallConfig();
+    key.set(cfg, key.get(parsed));
+    EventQueue eq;
+    nvram::VansSystem sys(eq, cfg);
+    lens::Driver drv(sys);
+    Rng rng(7);
+    std::vector<Addr> batch;
+    for (int round = 0; round < 6; ++round) {
+        // Half the lines in one 16 KB window, so writes merge in the
+        // LSQ and hit in the RMW and AIT buffers.
+        batch.clear();
+        for (int i = 0; i < 48; ++i) {
+            Addr span = i % 2 ? sys.capacity() : Addr{16384};
+            batch.push_back(rng.below(span) & ~Addr{63});
+        }
+        if (round % 2)
+            drv.streamWrites(batch, 16);
+        else
+            drv.streamReads(batch, 16);
+        drv.clwb(batch.front());
+        drv.sfence();
+        drv.fence();
+    }
+    drv.drain();
+    std::fprintf(stderr, "probe ran\n");
+    std::exit(0);
+}
+
+bool
+exitedZeroOrOne(int status)
+{
+    return WIFEXITED(status) && WEXITSTATUS(status) <= 1;
+}
+
+} // namespace
+
+// Every row of the schema, fuzzed with values around its bounds and
+// spellings that are not numbers: each must be rejected at parse by
+// a message naming the key, or build a world that runs and drains.
+TEST(NvramConfigFuzzDeathTest, EveryProbeFailsNamingTheKeyOrRuns)
+{
+    setQuiet(true);
+    for (const nvram::NvramKey &key : nvram::nvramKeys()) {
+        char above[32];
+        std::snprintf(above, sizeof(above), "%.17g", key.max + 1);
+        for (const char *probe :
+             {"0", "-1", "1", "3", "192", static_cast<const char *>(above),
+              "4294967296", "18446744073709551616", "abc", "nan",
+              "1e30"}) {
+            SCOPED_TRACE(std::string(key.name) + " = " + probe);
+            EXPECT_EXIT(runProbe(key, probe), exitedZeroOrOne,
+                        std::string(key.name) + " must|probe ran");
+        }
+    }
 }
 
 // ---- Trace file round trip ------------------------------------------

@@ -14,7 +14,6 @@
 #include <tuple>
 
 #include "common/ascii_chart.hh"
-#include "common/config.hh"
 #include "common/curve.hh"
 #include "common/event_queue.hh"
 #include "common/inplace_function.hh"
@@ -486,48 +485,37 @@ TEST(Types, ClockDomain)
 
 TEST(Config, ParsesSectionsAndTypes)
 {
-    auto cfg = Config::fromString(
+    auto cfg = nvram::NvramConfig::fromString(
         "[nvram]\n"
         "num_dimms = 6\n"
-        "interleaved = true\n"
+        "interleaved = YES\n"
         "dimm_capacity = 4G  # comment\n"
         "media_read_ns = 1.5\n"
         "; another comment\n"
-        "[cpu]\n"
-        "freq = 2.2\n");
-    EXPECT_EQ(cfg.getU64("nvram", "num_dimms", 0), 6u);
-    EXPECT_TRUE(cfg.getBool("nvram", "interleaved", false));
-    EXPECT_EQ(cfg.getU64("nvram", "dimm_capacity", 0), 4ull << 30);
-    EXPECT_DOUBLE_EQ(cfg.getDouble("nvram", "media_read_ns", 0), 1.5);
-    EXPECT_DOUBLE_EQ(cfg.getDouble("cpu", "freq", 0), 2.2);
-    EXPECT_EQ(cfg.getU64("cpu", "missing", 42), 42u);
+        "[ nvram ]\n"
+        "wear_threshold = 2K\n"
+        "mode = memory\n");
+    EXPECT_EQ(cfg.numDimms, 6u);
+    EXPECT_TRUE(cfg.interleaved);
+    EXPECT_EQ(cfg.dimmCapacity, 4ull << 30);
+    EXPECT_DOUBLE_EQ(cfg.mediaReadNs, 1.5);
+    EXPECT_EQ(cfg.wearThreshold, 2048u);
+    EXPECT_TRUE(cfg.memoryMode());
 }
 
 TEST(Config, SizeSuffixes)
 {
-    EXPECT_EQ(Config::parseSize("64"), 64u);
-    EXPECT_EQ(Config::parseSize("16K"), 16384u);
-    EXPECT_EQ(Config::parseSize("16KiB"), 16384u);
-    EXPECT_EQ(Config::parseSize("4M"), 4ull << 20);
-    EXPECT_EQ(Config::parseSize("2G"), 2ull << 30);
-    EXPECT_EQ(Config::parseSize("1.5K"), 1536u);
-}
-
-TEST(Config, RoundTrip)
-{
-    Config cfg;
-    cfg.set("a", "x", "1");
-    cfg.set("b", "y", "hello");
-    auto cfg2 = Config::fromString(cfg.toString());
-    EXPECT_EQ(cfg2.get("a", "x", ""), "1");
-    EXPECT_EQ(cfg2.get("b", "y", ""), "hello");
-    EXPECT_EQ(cfg2.sections().size(), 2u);
+    EXPECT_EQ(nvram::parseSize("64"), 64u);
+    EXPECT_EQ(nvram::parseSize("16K"), 16384u);
+    EXPECT_EQ(nvram::parseSize("16KiB"), 16384u);
+    EXPECT_EQ(nvram::parseSize("4M"), 4ull << 20);
+    EXPECT_EQ(nvram::parseSize("2G"), 2ull << 30);
+    EXPECT_EQ(nvram::parseSize("1.5K"), 1536u);
 }
 
 TEST(Config, FromConfigOverridesNvram)
 {
-    auto cfg = Config::fromString("[nvram]\nlsq_entries = 32\n");
-    auto nv = nvram::NvramConfig::fromConfig(cfg);
+    auto nv = nvram::NvramConfig::fromString("[nvram]\nlsq_entries = 32\n");
     EXPECT_EQ(nv.lsqEntries, 32u);
     // Untouched keys keep defaults.
     EXPECT_EQ(nv.rmwEntries,

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/config.hh"
 #include "common/metrics.hh"
 #include "common/snapshot.hh"
 #include "lens/driver.hh"
@@ -122,15 +121,15 @@ stripKernelGroup(const std::string &json)
 TEST(MemoryModeConfig, ModeKeyParsesAndValidates)
 {
     setQuiet(true);
-    Config raw = Config::fromString("[nvram]\n"
-                                   "mode = memory\n"
-                                   "dcache_capacity = 1M\n");
-    nvram::NvramConfig cfg = nvram::NvramConfig::fromConfig(raw);
+    nvram::NvramConfig cfg = nvram::NvramConfig::fromString(
+        "[nvram]\n"
+        "mode = memory\n"
+        "dcache_capacity = 1M\n");
     EXPECT_TRUE(cfg.memoryMode());
     EXPECT_EQ(cfg.dcacheCapacity, 1ull << 20);
 
-    Config app = Config::fromString("[nvram]\n");
-    EXPECT_FALSE(nvram::NvramConfig::fromConfig(app).memoryMode());
+    EXPECT_FALSE(
+        nvram::NvramConfig::fromString("[nvram]\n").memoryMode());
 }
 
 TEST(MemoryModeConfig, MemoryModeDisablesPersistSupport)

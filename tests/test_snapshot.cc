@@ -14,6 +14,7 @@
 #include <set>
 #include <vector>
 
+#include "baselines/dram_system.hh"
 #include "common/crash.hh"
 #include "common/flat_lru.hh"
 #include "common/inplace_function.hh"
@@ -324,7 +325,7 @@ TEST(ForkFidelity, ForkedPointsMatchColdReferenceTickForTick)
     auto factory = smallFactory();
     SweepRunner serial(1);
     auto ws = serial.warmOnce(factory, warmWorkload);
-    ASSERT_TRUE(ws.forked()) << "VansSystem must support snapshots";
+    ASSERT_TRUE(ws.snap.valid());
 
     auto forked = serial.mapForked<PointTrace>(
         ws, 4,
@@ -400,36 +401,6 @@ TEST(ForkFidelity, MapFromWarmIdenticalAcrossThreadCounts)
         EXPECT_TRUE(serial[i] == par[i]) << "point " << i;
 }
 
-TEST(ForkFidelity, ColdFallbackStillDeterministic)
-{
-    // A system without snapshot support takes the re-warm-per-point
-    // path; results must still be identical across thread counts.
-    setQuiet(true);
-    struct NoSnapSystem : nvram::VansSystem
-    {
-        using nvram::VansSystem::VansSystem;
-        bool snapshotSupported() const override { return false; }
-    };
-    SystemFactory factory = [](EventQueue &eq) {
-        return std::make_unique<NoSnapSystem>(
-            eq, vans::test::smallConfig());
-    };
-    auto ws = SweepRunner(1).warmOnce(factory, warmWorkload);
-    EXPECT_FALSE(ws.forked());
-
-    auto run = [&](unsigned threads) {
-        return SweepRunner(threads).mapFromWarm<PointTrace>(
-            factory, warmWorkload, 3,
-            [](MemorySystem &sys, std::size_t i) {
-                return pointWorkload(sys, i);
-            });
-    };
-    auto serial = run(1);
-    auto par = run(3);
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        EXPECT_TRUE(serial[i] == par[i]) << "point " << i;
-}
-
 // ---- Quiescence drain ----------------------------------------------
 
 // Regression for the refresh re-arm hang: 6 records x 64B = 384B =
@@ -483,6 +454,20 @@ TEST(ForkFidelityDeathTest, CapturingNonQuiescentWorldPanics)
     ASSERT_FALSE(sys.quiescent());
     EXPECT_DEATH(snapshot::WorldSnapshot::capture(eq, sys),
                  "non-quiescent");
+}
+
+// There is no cold fallback: warming a system without snapshot
+// support for a fork fails at capture, naming the system.
+TEST(ForkFidelityDeathTest, WarmingSystemWithoutSnapshotSupportFails)
+{
+    setQuiet(true);
+    SystemFactory factory = [](EventQueue &eq) {
+        return std::make_unique<baselines::DramMainMemory>(
+            eq, baselines::DramSystemParams{}, "ddr4-main");
+    };
+    EXPECT_DEATH(SweepRunner(1).warmOnce(factory, [](MemorySystem &) {}),
+                 "snapshot of a system without snapshot support "
+                 "\\(ddr4-main\\)");
 }
 
 TEST(ForkFidelityDeathTest, RestoreIntoUsedWorldPanics)

@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "common/config.hh"
 #include "common/metrics.hh"
 #include "common/snapshot.hh"
 #include "common/sweep.hh"
@@ -346,11 +345,10 @@ TEST(ShardedConfigDeathTest, RejectsZeroDimms)
 
 TEST(ShardedConfigDeathTest, RejectsNonPowerOfTwoInterleave)
 {
-    Config raw = Config::fromString("[nvram]\n"
-                                    "num_dimms = 6\n"
-                                    "interleaved = true\n"
-                                    "interleave_bytes = 3000\n");
-    EXPECT_DEATH(nvram::NvramConfig::fromConfig(raw),
+    EXPECT_DEATH(nvram::NvramConfig::fromString("[nvram]\n"
+                                                "num_dimms = 6\n"
+                                                "interleaved = true\n"
+                                                "interleave_bytes = 3000\n"),
                  "power of two");
 }
 
