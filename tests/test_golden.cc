@@ -21,8 +21,8 @@
  *    snapshot stream and dump() text: the event kernel's groups in a
  *    digest of their own, so a change that only saves events
  *    re-records only that one;
- *  - the quiescent() predicate along a seeded request stream in each
- *    snapshot world.
+ *  - the quiescent() predicate along a seeded request stream, paced
+ *    in simulated time, in each snapshot world.
  *
  * A deliberate model change re-records the constants and says why.
  * The hash is 64-bit FNV-1a.
@@ -737,20 +737,25 @@ TEST(GoldenDigest, SnapshotStreams)
     }
 }
 
-// quiescent() sampled after every issue and every event of 60 seeded
-// bursts of mixed loads, stores, flushes and fences in each snapshot
-// world. It gates both the drain and every capture, so a member it
-// stops testing flips samples here: dropping the iMC's in-flight
-// arrival count moves every world.
+// quiescent() sampled after every issue of 60 seeded bursts of mixed
+// loads, stores, flushes and fences in each snapshot world, and
+// between bursts at a seeded number of fixed ticks 50 ns apart. It
+// gates both the drain and every capture, so a member it stops
+// testing flips samples here: dropping the iMC's in-flight arrival
+// count moves every world. The stream is paced in simulated time,
+// not in events, so the samples and the issue ticks depend on the
+// seed alone: a change that only saves events keeps every digest,
+// and a component that acts past a runUntil limit moves it.
 TEST(GoldenDigest, QuiescenceTrace)
 {
     setQuiet(true);
     const std::uint64_t expected[] = {
-        0x50e1a4c2a7ab56a5ull, 0x71d5171b30457b64ull,
-        0xba4a0a04bcf203c5ull, 0x8a93c606337921c5ull,
-        0x50e1a4c2a7ab56a5ull};
+        0xa56334fb64d584e4ull, 0xf03eeb360d8f52a4ull,
+        0x0cbdc61e23145ca5ull, 0x79cfe7716a64b8a4ull,
+        0xa56334fb64d584e4ull};
     const MemOp ops[] = {MemOp::ReadNT, MemOp::WriteNT, MemOp::Write,
                          MemOp::Clwb, MemOp::Read};
+    const Tick gap = nsToTicks(50);
     std::vector<test::SnapshotWorld> worlds = test::snapshotWorlds();
     ASSERT_EQ(worlds.size(), std::size(expected));
     for (std::size_t i = 0; i < worlds.size(); ++i) {
@@ -769,6 +774,7 @@ TEST(GoldenDigest, QuiescenceTrace)
             quiet += q;
             ++samples;
         };
+        Tick at = 0;
         for (int burst = 0; burst < 60; ++burst) {
             for (std::uint64_t n = 1 + rng.below(8); n > 0; --n) {
                 MemOp op = ops[rng.below(std::size(ops))];
@@ -787,11 +793,18 @@ TEST(GoldenDigest, QuiescenceTrace)
                 sys.issue(h);
                 sample();
             }
-            for (std::uint64_t s = rng.below(400); s > 0 && eq.step();
-                 --s)
+            // The no-op lands the clock on the sample tick even when
+            // the model has nothing pending.
+            for (std::uint64_t s = rng.below(160); s > 0; --s) {
+                at += gap;
+                eq.schedule(at, [] {});
+                eq.runUntil(at);
                 sample();
+            }
         }
         sys.drain();
+        EXPECT_GT(quiet, 0u) << worlds[i].name;
+        EXPECT_LT(quiet, samples) << worlds[i].name;
         EXPECT_EQ(hex(f.value()), hex(expected[i]))
             << worlds[i].name << ": " << quiet << " of " << samples
             << " samples quiescent";
