@@ -1,6 +1,7 @@
 #include "nvram/dram_cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.hh"
 #include "common/logging.hh"
@@ -43,8 +44,12 @@ DramCache::DramCache(EventQueue &eq, const NvramConfig &config,
       cfg(config),
       nvm(nvm_dimm),
       numSets(config.dcacheCapacity / cacheLineSize),
-      tags(numSets, 0),
-      lineState(numSets, 0),
+      tagShift(static_cast<unsigned>(
+          std::countr_zero(config.dcacheCapacity))),
+      fieldBits(2 + static_cast<unsigned>(std::bit_width(
+                        (config.numDimms * config.dimmCapacity - 1) >>
+                        tagShift))),
+      fields((numSets * fieldBits + 63) / 64 + 1, 0),
       statGroup(name, StatGroup::Listing::All),
       dram(eq, config.dcacheTiming, cacheDramGeometry(config),
            dram::SchedPolicy::FRFCFS, dram::MapScheme::RowBankCol,
@@ -84,7 +89,24 @@ DramCache::isDirty(Addr line) const
 {
     Addr l = alignDown(line, cacheLineSize);
     std::uint64_t set = setOf(l);
-    return present(set, l) && (lineState[set] & kDirty) != 0;
+    return present(set, l) && (field(set) & kDirty) != 0;
+}
+
+void
+DramCache::setField(std::uint64_t set, std::uint64_t f)
+{
+    std::uint64_t mask = (std::uint64_t{1} << fieldBits) - 1;
+    VANS_AUDIT("dcache", eventq.curTick(), f <= mask,
+               "field %llx of set %llu overflows %u bits",
+               static_cast<unsigned long long>(f),
+               static_cast<unsigned long long>(set), fieldBits);
+    std::uint64_t bit = set * fieldBits;
+    std::uint64_t *w = &fields[bit / 64];
+    unsigned off = static_cast<unsigned>(bit % 64);
+    w[0] = (w[0] & ~(mask << off)) | (f << off);
+    // The bits past the first word, shifted as in field().
+    w[1] = (w[1] & ~((mask >> 1) >> (63 - off))) |
+           ((f >> 1) >> (63 - off));
 }
 
 bool
@@ -171,8 +193,10 @@ void
 DramCache::installLine(Addr line, bool dirty)
 {
     std::uint64_t set = setOf(line);
-    if ((lineState[set] & (kValid | kDirty)) == (kValid | kDirty) &&
-        tags[set] != line) {
+    std::uint64_t old = field(set);
+    std::uint64_t tag = tagField(line);
+    if ((old & (kValid | kDirty)) == (kValid | kDirty) &&
+        (old >> 2) != (tag >> 2)) {
         // Direct-mapped conflict with a dirty resident: the victim's
         // only up-to-date copy is here, write it back to the DIMM.
         dirtyEvicts.inc();
@@ -182,11 +206,9 @@ DramCache::installLine(Addr line, bool dirty)
                          now + nsToTicks(cfg.busCmdNs +
                                          cfg.busDataPer64bNs));
         }
-        pushNvmWrite(tags[set]);
+        pushNvmWrite(lineOf(set, old));
     }
-    tags[set] = line;
-    lineState[set] =
-        static_cast<std::uint8_t>(kValid | (dirty ? kDirty : 0));
+    setField(set, tag | kValid | (dirty ? kDirty : 0));
 }
 
 void
@@ -204,10 +226,10 @@ DramCache::accept(Addr line, std::uint8_t kind)
             if ((kind & kInvalidate) != 0) {
                 // clflushopt: writeback + invalidate.
                 invalidates.inc();
-                lineState[set] = 0;
+                setField(set, 0);
             } else {
                 // The cached copy now matches the DIMM: clean.
-                lineState[set] = kValid;
+                setField(set, tagField(line) | kValid);
                 dramWrite(line);
             }
         }
@@ -220,7 +242,6 @@ DramCache::accept(Addr line, std::uint8_t kind)
     else
         wbWriteMisses.inc();
     installLine(line, true);
-    lineState[set] = kValid | kDirty;
     dramWrite(line);
 }
 
@@ -271,34 +292,44 @@ DramCache::serialize(snapshot::Archive &ar)
                  "snapshot of a non-quiescent DRAM cache");
     ar.tag("dcache");
     ar.count("dcache set", numSets);
-    // Sparse tag store in set order: (set, tag, dirty) triples. The
-    // capture counts the valid sets; a restore starts from an empty
-    // tag store and touches only the sets the stream names.
+    // Sparse tag store in set order: (set, line, dirty) triples,
+    // each with the full line address, so the stream does not depend
+    // on the field width. The capture counts the valid sets; a
+    // restore clears the tag store, then sets the fields the stream
+    // names.
     std::uint64_t valid = 0;
     if (ar.loading()) {
-        std::fill(tags.begin(), tags.end(), 0);
-        std::fill(lineState.begin(), lineState.end(),
-                  static_cast<std::uint8_t>(0));
+        std::fill(fields.begin(), fields.end(), 0);
     } else {
         for (std::uint64_t set = 0; set < numSets; ++set)
-            valid += (lineState[set] & kValid) != 0;
+            valid += field(set) & kValid;
     }
     ar(valid);
     std::uint64_t set = 0;
     for (std::uint64_t i = 0; i < valid; ++i, ++set) {
         // A capture walks to the next valid set; a restore reads it.
-        while (!ar.loading() && (lineState[set] & kValid) == 0)
+        while (!ar.loading() && (field(set) & kValid) == 0)
             ++set;
         ar(set);
         VANS_REQUIRE("dcache", eventq.curTick(), set < numSets,
                      "snapshot set %llu beyond %llu sets",
                      static_cast<unsigned long long>(set),
                      static_cast<unsigned long long>(numSets));
-        bool dirty = (lineState[set] & kDirty) != 0;
-        ar(tags[set], dirty);
-        if (ar.loading())
-            lineState[set] = static_cast<std::uint8_t>(
-                kValid | (dirty ? kDirty : 0));
+        std::uint64_t f = field(set);
+        Addr line = lineOf(set, f);
+        bool dirty = (f & kDirty) != 0;
+        ar(line, dirty);
+        if (ar.loading()) {
+            f = tagField(line) | kValid | (dirty ? kDirty : 0);
+            VANS_REQUIRE("dcache", eventq.curTick(),
+                         (f >> fieldBits) == 0 && lineOf(set, f) == line,
+                         "snapshot line %llx does not map to set %llu "
+                         "of a %u-bit tag store",
+                         static_cast<unsigned long long>(line),
+                         static_cast<unsigned long long>(set),
+                         fieldBits);
+            setField(set, f);
+        }
     }
     statGroup.serialize(ar);
     dram.serialize(ar);

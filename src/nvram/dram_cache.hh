@@ -23,6 +23,11 @@
  * The cache is volatile: dirty lines die with a power cut, which is
  * why Memory mode reports persistSupported() == false at the system
  * level and why the write-through path exists at all.
+ *
+ * Host footprint: the tag store keeps one bit field per set, sized
+ * at construction to the socket (see fieldBits), so the shipped
+ * 64 MB cache in front of a 4 GB DIMM costs 1 byte of host memory
+ * per 64B line.
  */
 
 #ifndef VANS_NVRAM_DRAM_CACHE_HH
@@ -122,6 +127,9 @@ class DramCache
     /** Configured set count (capacity / 64). */
     std::uint64_t sets() const { return numSets; }
 
+    /** Host bits the tag store keeps per set (fieldBits). */
+    unsigned bitsPerSet() const { return fieldBits; }
+
     /**
      * Attach tracing: one track for the cache (miss-fetch and
      * dirty-evict spans) plus the cache DIMM controller's track.
@@ -131,16 +139,17 @@ class DramCache
                       const std::string &track_name);
 
     /**
-     * Serialize the tag/dirty metadata (sparse, set order), stats
-     * and the cache DIMM controller. Requires quiescent(): MSHRs,
-     * waiters and the writeback queue are empty at capture.
+     * Serialize the tag/dirty metadata (sparse, set order, each valid
+     * set as its full line address), stats and the cache DIMM
+     * controller. Requires quiescent(): MSHRs, waiters and the
+     * writeback queue are empty at capture.
      */
     void serialize(snapshot::Archive &ar);
 
   private:
-    /** Line-state bits packed into lineState[set]. */
-    static constexpr std::uint8_t kValid = 1;
-    static constexpr std::uint8_t kDirty = 2;
+    /** State bits, the low two bits of a set's field. */
+    static constexpr std::uint64_t kValid = 1;
+    static constexpr std::uint64_t kDirty = 2;
 
     std::uint64_t setOf(Addr line) const
     {
@@ -153,9 +162,38 @@ class DramCache
         return static_cast<Addr>(set) * cacheLineSize;
     }
 
+    /** Field bits of @p line's tag index (line >> tagShift). */
+    std::uint64_t tagField(Addr line) const
+    {
+        return (line >> tagShift) << 2;
+    }
+
+    /** The line that field @p f names in @p set. */
+    Addr lineOf(std::uint64_t set, std::uint64_t f) const
+    {
+        return ((f >> 2) << tagShift) | slotAddr(set);
+    }
+
+    /** @p set's field, read across a word boundary if it straddles
+     *  one: the high word always exists (the spare word), and the
+     *  two-step shift is 0 when the field starts a word. */
+    std::uint64_t field(std::uint64_t set) const
+    {
+        std::uint64_t bit = set * fieldBits;
+        const std::uint64_t *w = &fields[bit / 64];
+        unsigned off = static_cast<unsigned>(bit % 64);
+        std::uint64_t v = (w[0] >> off) | ((w[1] << 1) << (63 - off));
+        return v & ((std::uint64_t{1} << fieldBits) - 1);
+    }
+
+    /** Store @p f, which fits fieldBits, as @p set's field. */
+    void setField(std::uint64_t set, std::uint64_t f);
+
     bool present(std::uint64_t set, Addr line) const
     {
-        return (lineState[set] & kValid) != 0 && tags[set] == line;
+        // A line past the socket has no tag index that fits the
+        // field, so it never compares equal.
+        return (field(set) | kDirty) == (tagField(line) | kValid | kDirty);
     }
 
     /** True while an NVM fetch for @p line is outstanding. */
@@ -187,10 +225,22 @@ class DramCache
     NvramDimm &nvm;
 
     const std::uint64_t numSets;
-    /** Per-set tag: the full line address cached in the set. */
-    std::vector<Addr> tags;
-    /** Per-set kValid/kDirty bits. */
-    std::vector<std::uint8_t> lineState;
+    /** log2(dcache_capacity): bits below it name the set and the
+     *  byte, bits from it up form the line's tag index. */
+    const unsigned tagShift;
+    /**
+     * Bits per set: the bit width of the socket's highest tag index,
+     * (num_dimms * dimm_capacity - 1) >> tagShift, plus kValid and
+     * kDirty. 8 for a 64 MB cache in front of one 4 GB DIMM, 11 for
+     * six 4 GB DIMMs, at most 39 for a config the schema accepts.
+     */
+    const unsigned fieldBits;
+    /**
+     * The tag store: one (tag index << 2) | kDirty | kValid field
+     * per set, packed back to back from bit 0 of word 0, so a field
+     * may straddle two words. One spare word ends the array.
+     */
+    std::vector<std::uint64_t> fields;
 
     /** Lines with an outstanding NVM fetch and its start tick (the
      *  MSHR set; linear scan over <= rpqEntries lines, reserved at

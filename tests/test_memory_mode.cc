@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,25 @@ memoryConfig()
     cfg.mode = nvram::SystemMode::Memory;
     cfg.dcacheCapacity = 4096; // 64 sets.
     return cfg;
+}
+
+/** memoryConfig()'s 64-set caches on six interleaved channels of
+ *  @p dimm_bytes DIMMs. */
+nvram::NvramConfig
+memorySocket(std::uint64_t dimm_bytes)
+{
+    nvram::NvramConfig cfg = memoryConfig();
+    cfg.numDimms = 6;
+    cfg.interleaved = true;
+    cfg.dimmCapacity = dimm_bytes;
+    return cfg;
+}
+
+/** The DRAM cache of the channel @p line maps to. */
+nvram::DramCache &
+cacheOf(nvram::VansSystem &sys, Addr line)
+{
+    return *sys.imc().dramCache(sys.imc().dimmOf(line));
 }
 
 /** Synchronous plain (write-back kind) store: Driver::write issues
@@ -355,4 +375,166 @@ TEST(MemoryMode, ForkedWorldContinuesBitIdentically)
     std::string rj = stripKernelGroup(metricsJson(ref));
     EXPECT_NE(fj, metricsJson(fork)) << "strip must find the group";
     EXPECT_EQ(fj, rj);
+}
+
+TEST(MemoryMode, ShippedConfigKeepsOneBytePerSet)
+{
+    setQuiet(true);
+    VansFixture f(nvram::NvramConfig::fromFile(
+        VANS_SOURCE_DIR "/configs/optane_memory_mode.cfg"));
+    nvram::DramCache *dc = f.sys.imc().dramCache(0);
+    ASSERT_NE(dc, nullptr);
+    // 4 GB of NVM behind a 64 MB cache: 64 tag indices, 6 bits, plus
+    // the valid and dirty bits.
+    EXPECT_EQ(dc->sets(), 1u << 20);
+    EXPECT_EQ(dc->bitsPerSet(), 8u);
+}
+
+// The tag store's field width follows the socket's capacity. One
+// seeded stream of reads, plain stores, clwb and clflushopt, each run
+// to quiescence, must leave the same tags, dirty bits and dcache
+// stats at 19, 25 and 33 bits per set: every address stays below the
+// smallest socket, so only the width differs.
+TEST(MemoryMode, TagStoreAnswersDoNotDependOnFieldWidth)
+{
+    setQuiet(true);
+    const std::uint64_t dimm_bytes[] = {64ull << 20, 4ull << 30,
+                                        1ull << 40};
+    const unsigned widths[] = {19, 25, 33};
+    // Four tags 96 MB apart over 8 sets of each channel: 192 lines
+    // compete for 48 slots.
+    std::vector<Addr> lines;
+    for (Addr tag = 0; tag < 4; ++tag)
+        for (Addr ch = 0; ch < 6; ++ch)
+            for (Addr set = 0; set < 8; ++set)
+                lines.push_back(tag * (96ull << 20) + ch * 4096 +
+                                set * 64);
+
+    std::vector<std::unique_ptr<VansFixture>> worlds;
+    std::vector<std::vector<bool>> answers;
+    for (std::size_t w = 0; w < std::size(dimm_bytes); ++w) {
+        worlds.push_back(
+            std::make_unique<VansFixture>(memorySocket(dimm_bytes[w])));
+        VansFixture &f = *worlds.back();
+        for (unsigned ch = 0; ch < 6; ++ch) {
+            EXPECT_EQ(f.sys.imc().dramCache(ch)->bitsPerSet(),
+                      widths[w]);
+        }
+        Rng rng(5);
+        std::vector<bool> probes;
+        for (int n = 0; n < 300; ++n) {
+            Addr a = lines[rng.below(lines.size())];
+            switch (rng.below(4)) {
+              case 0:
+                f.drv.read(a);
+                break;
+              case 1:
+                plainWriteInto(f.sys, a);
+                break;
+              case 2:
+                f.drv.clwb(a);
+                break;
+              default:
+                f.drv.clflushopt(a);
+                break;
+            }
+            f.drv.drain();
+            for (Addr l : lines) {
+                probes.push_back(cacheOf(f.sys, l).contains(l));
+                probes.push_back(cacheOf(f.sys, l).isDirty(l));
+            }
+        }
+        answers.push_back(std::move(probes));
+    }
+
+    // The stream reached every path the fields serve.
+    VansFixture &narrow = *worlds.front();
+    EXPECT_GT(narrow.sys.dcacheScalarSum("hits"), 0u);
+    EXPECT_GT(narrow.sys.dcacheScalarSum("wb_write_hits"), 0u);
+    EXPECT_GT(narrow.sys.dcacheScalarSum("dirty_evicts"), 0u);
+    EXPECT_GT(narrow.sys.dcacheScalarSum("invalidates"), 0u);
+    for (std::size_t w = 1; w < worlds.size(); ++w) {
+        EXPECT_TRUE(answers[w] == answers[0]) << widths[w] << " bits";
+        for (unsigned ch = 0; ch < 6; ++ch) {
+            EXPECT_TRUE(
+                worlds[w]->sys.imc().dramCache(ch)->stats().identicalTo(
+                    narrow.sys.imc().dramCache(ch)->stats()))
+                << widths[w] << " bits, channel " << ch;
+        }
+    }
+}
+
+// The socket's last line has the highest tag index, so it fills all
+// 33 bits of its field; at 33 bits half of the 64 fields straddle two
+// words. Beside neighbours whose tags spread over the whole socket,
+// it must survive a capture -> restore -> capture round trip byte for
+// byte, and leave through a dirty evict.
+TEST(MemoryMode, SocketLastLineRoundTripsAtAStraddlingWidth)
+{
+    setQuiet(true);
+    const nvram::NvramConfig cfg = memorySocket(1ull << 40);
+    VansFixture a(cfg);
+    const Addr last = a.sys.capacity() - cacheLineSize;
+    nvram::DramCache &dca = cacheOf(a.sys, last);
+    ASSERT_EQ(dca.bitsPerSet(), 33u);
+    ASSERT_EQ(last / 64 % 64, 63u);
+    // Sets 0..62 of the last line's channel: tags 96 GB apart, dirty
+    // in even sets, clean in odd ones.
+    const Addr stripe = last / 4096 % 6 * 4096;
+    std::vector<Addr> lines;
+    for (Addr set = 0; set < 63; ++set) {
+        Addr l = set * (96ull << 30) + stripe + set * 64;
+        ASSERT_EQ(&cacheOf(a.sys, l), &dca);
+        lines.push_back(l);
+        if (set % 2 == 0)
+            plainWriteInto(a.sys, l);
+        else
+            a.drv.read(l);
+    }
+    plainWriteInto(a.sys, last);
+    lines.push_back(last);
+    a.drv.drain();
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        EXPECT_TRUE(dca.contains(lines[i])) << i;
+        EXPECT_EQ(dca.isDirty(lines[i]), i % 2 == 0 || i == 63) << i;
+    }
+    // One interleave stripe further is past the socket: no tag index.
+    EXPECT_FALSE(dca.contains(last + 6 * 4096));
+
+    auto snap = snapshot::WorldSnapshot::capture(a.eq, a.sys);
+    VansFixture b(cfg);
+    snap.restoreInto(b.eq, b.sys);
+    EXPECT_TRUE(test::systemStream(b.sys) == test::systemStream(a.sys));
+    nvram::DramCache &dcb = cacheOf(b.sys, last);
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        EXPECT_TRUE(dcb.contains(lines[i])) << i;
+        EXPECT_EQ(dcb.isDirty(lines[i]), dca.isDirty(lines[i])) << i;
+    }
+
+    // A conflicting read in set 63 writes the last line back.
+    std::uint64_t evicts = dcb.stats().scalarValue("dirty_evicts");
+    Addr rival = last - 6 * 4096;
+    b.drv.read(rival);
+    b.drv.drain();
+    EXPECT_EQ(dcb.stats().scalarValue("dirty_evicts"), evicts + 1);
+    EXPECT_FALSE(dcb.contains(last));
+    EXPECT_TRUE(dcb.contains(rival));
+    EXPECT_TRUE(dcb.contains(lines[62]));
+}
+
+// A stream captured on a larger socket names a line whose tag index
+// does not fit the restoring cache's field: the restore fails, naming
+// the line, instead of storing a truncated tag.
+TEST(MemoryModeDeathTest, RestoreRejectsALineThatDoesNotFitTheField)
+{
+    setQuiet(true);
+    VansFixture big(memorySocket(1ull << 40));
+    const Addr last = big.sys.capacity() - cacheLineSize;
+    plainWriteInto(big.sys, last);
+    big.drv.drain();
+    auto snap = snapshot::WorldSnapshot::capture(big.eq, big.sys);
+    VansFixture small(memorySocket(64ull << 20));
+    EXPECT_DEATH(snap.restoreInto(small.eq, small.sys),
+                 "snapshot line 5ffffffffc0 does not map to set 63 of "
+                 "a 19-bit tag store");
 }
