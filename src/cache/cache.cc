@@ -1,5 +1,6 @@
 #include "cache/cache.hh"
 
+#include "common/check.hh"
 #include "common/logging.hh"
 
 namespace vans::cache
@@ -55,12 +56,19 @@ Cache::access(Addr addr, bool write)
     }
 
     misses.inc();
+    VANS_REQUIRE("cache", 0, tag <= Way::maxKey,
+                 "%s: address %llx: tag %llx is wider than a way's "
+                 "%u-bit key",
+                 p.name.c_str(), static_cast<unsigned long long>(addr),
+                 static_cast<unsigned long long>(tag), Way::keyBits);
     // Fill into an invalid way when one exists (a clflushopt'd line
     // leaves a free slot behind); only a full set evicts the LRU way.
     Way &victim = lines.victim(set);
     if (victim.rank != 0 && victim.dirty) {
         res.writeback = true;
-        res.writebackAddr = ((victim.key << setShift) | set) * p.lineBytes;
+        res.writebackAddr =
+            ((static_cast<Addr>(victim.key) << setShift) | set) *
+            p.lineBytes;
         writebacks.inc();
     }
     victim.key = tag;

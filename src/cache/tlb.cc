@@ -1,5 +1,6 @@
 #include "cache/tlb.hh"
 
+#include "common/check.hh"
 #include "common/logging.hh"
 
 namespace vans::cache
@@ -81,8 +82,7 @@ Tlb::access(Addr addr)
     }
     walks.inc();
     r.walk = true;
-    stlb.insert(page);
-    l1.insert(page);
+    fill(page, addr);
     return r;
 }
 
@@ -91,11 +91,22 @@ Tlb::install(Addr addr)
 {
     std::uint64_t page = pageOf(addr);
     bool fresh = !l1.contains(page) && !stlb.contains(page);
-    stlb.insert(page);
-    l1.insert(page);
+    fill(page, addr);
     if (fresh)
         installs.inc();
     return fresh;
+}
+
+void
+Tlb::fill(std::uint64_t page, Addr addr)
+{
+    VANS_REQUIRE("tlb", 0, page <= Way::maxKey,
+                 "%s L1/STLB: address %llx: page %llx is wider than a "
+                 "way's %u-bit key",
+                 p.name.c_str(), static_cast<unsigned long long>(addr),
+                 static_cast<unsigned long long>(page), Way::keyBits);
+    stlb.insert(page);
+    l1.insert(page);
 }
 
 bool

@@ -98,6 +98,10 @@ class Tlb
         return addr / p.pageBytes;
     }
 
+    /** Make @p page, the page of @p addr, the most recent in both
+     *  levels; REQUIREs that it fits a way's key. */
+    void fill(std::uint64_t page, Addr addr);
+
     TlbParams p;
     Level l1;
     Level stlb;

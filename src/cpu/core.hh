@@ -78,8 +78,6 @@ class CpuCore
      */
     std::function<bool(Addr)> tlbAssist;
 
-    cache::Hierarchy &hierarchy() { return caches; }
-
   private:
     /** Advance the event queue to @p when. */
     void syncTo(Tick when);

@@ -36,6 +36,7 @@ DramController::DramController(EventQueue &eq, const DramTiming &timing,
                                std::string name)
     : eventq(eq),
       spec(timing),
+      ticks(spec),
       map(geometry, ms),
       policy(sched_policy),
       banks(geometry.totalBanks()),
@@ -45,7 +46,7 @@ DramController::DramController(EventQueue &eq, const DramTiming &timing,
                  geometry.totalBanks()),
       lastCasInGroup(geometry.ranks * geometry.bankGroups, 0),
       lastActInGroup(geometry.ranks * geometry.bankGroups, 0),
-      nextRefresh(spec.tREFI ? spec.cyc(spec.tREFI) : never),
+      nextRefresh(spec.tREFI ? ticks.tREFI : never),
       statGroup(std::move(name), StatGroup::Listing::All)
 {
     // LineReq packs the bank, row and column into 16, 32 and 16 bits.
@@ -186,12 +187,12 @@ DramController::earliestIssue(unsigned bank, bool hit, bool write) const
     if (hit) {
         // CAS path.
         t = std::max(t, b.casReady);
-        Tick ccd = std::max(lastCasInGroup[g] + spec.cyc(spec.tCCD_L),
-                            lastCasAny + spec.cyc(spec.tCCD_S));
+        Tick ccd = std::max(lastCasInGroup[g] + ticks.tCCD_L,
+                            lastCasAny + ticks.tCCD_S);
         t = std::max(t, ccd);
         if (!write) {
             // tWTR: write data end -> read CAS.
-            t = std::max(t, lastWrDataEnd + spec.cyc(spec.tWTR_L));
+            t = std::max(t, lastWrDataEnd + ticks.tWTR_L);
         }
         t = std::max(t, dataBusFree);
         return t;
@@ -202,11 +203,11 @@ DramController::earliestIssue(unsigned bank, bool hit, bool write) const
     }
     // Closed: need ACT.
     t = std::max(t, b.actReady);
-    Tick rrd = std::max(lastActInGroup[g] + spec.cyc(spec.tRRD_L),
-                        lastActAny + spec.cyc(spec.tRRD_S));
+    Tick rrd = std::max(lastActInGroup[g] + ticks.tRRD_L,
+                        lastActAny + ticks.tRRD_S);
     t = std::max(t, rrd);
     if (actWindow.size() >= 4)
-        t = std::max(t, actWindow.front() + spec.cyc(spec.tFAW));
+        t = std::max(t, actWindow.front() + ticks.tFAW);
     return t;
 }
 
@@ -217,9 +218,9 @@ DramController::issueAct(const LineReq &r)
     Tick now = eventq.curTick();
     b.open = true;
     b.row = r.row;
-    b.casReady = now + spec.cyc(spec.tRCD);
-    b.preReady = now + spec.cyc(spec.tRAS);
-    b.actReady = now + spec.cyc(spec.tRC);
+    b.casReady = now + ticks.tRCD;
+    b.preReady = now + ticks.tRAS;
+    b.actReady = now + ticks.tRC;
 
     lastActInGroup[groupOf(r.bank)] = now;
     lastActAny = now;
@@ -227,7 +228,7 @@ DramController::issueAct(const LineReq &r)
     while (actWindow.size() > 4)
         actWindow.pop_front();
 
-    cmdBusFree = now + spec.period();
+    cmdBusFree = now + ticks.tCK;
     cmdAct.inc();
     emit(DramCmd::ACT, now, r.bank, r.row, 0);
     recountHits(r.bank);
@@ -239,8 +240,8 @@ DramController::issuePre(unsigned bank)
     BankState &b = banks[bank];
     Tick now = eventq.curTick();
     b.open = false;
-    b.actReady = std::max(b.actReady, now + spec.cyc(spec.tRP));
-    cmdBusFree = now + spec.period();
+    b.actReady = std::max(b.actReady, now + ticks.tRP);
+    cmdBusFree = now + ticks.tCK;
     cmdPre.inc();
     emit(DramCmd::PRE, now, bank, b.row, 0);
     recountHits(bank);
@@ -251,9 +252,9 @@ DramController::issueCas(const LineReq &r)
 {
     BankState &b = banks[r.bank];
     Tick now = eventq.curTick();
-    Tick lat = r.write ? spec.cyc(spec.tCWL) : spec.cyc(spec.tCL);
+    Tick lat = r.write ? ticks.tCWL : ticks.tCL;
     Tick data_start = now + lat;
-    Tick data_end = data_start + spec.burstTicks();
+    Tick data_end = data_start + ticks.burst;
 
     dataBusFree = data_end;
     lastCasInGroup[groupOf(r.bank)] = now;
@@ -262,15 +263,14 @@ DramController::issueCas(const LineReq &r)
     if (r.write) {
         lastWrDataEnd = data_end;
         // Write recovery gates the next PRE of this bank.
-        b.preReady = std::max(b.preReady,
-                              data_end + spec.cyc(spec.tWR));
+        b.preReady = std::max(b.preReady, data_end + ticks.tWR);
         cmdWr.inc();
     } else {
-        b.preReady = std::max(b.preReady, now + spec.cyc(spec.tRTP));
+        b.preReady = std::max(b.preReady, now + ticks.tRTP);
         cmdRd.inc();
     }
 
-    cmdBusFree = now + spec.period();
+    cmdBusFree = now + ticks.tCK;
     emit(r.write ? DramCmd::WR : DramCmd::RD, now, r.bank, r.row,
          r.column);
 
@@ -312,15 +312,13 @@ DramController::doRefresh()
             recountHits(i);
         }
     }
-    Tick ref_at = now + spec.cyc(spec.tRP);
-    for (auto &b : banks) {
-        b.actReady = std::max(b.actReady,
-                              ref_at + spec.cyc(spec.tRFC));
-    }
-    cmdBusFree = std::max(cmdBusFree, ref_at + spec.period());
+    Tick ref_at = now + ticks.tRP;
+    for (auto &b : banks)
+        b.actReady = std::max(b.actReady, ref_at + ticks.tRFC);
+    cmdBusFree = std::max(cmdBusFree, ref_at + ticks.tCK);
     cmdRef.inc();
     emit(DramCmd::REF, ref_at, 0, 0, 0);
-    nextRefresh += spec.cyc(spec.tREFI);
+    nextRefresh += ticks.tREFI;
     refreshPending = false;
 }
 
@@ -530,7 +528,7 @@ DramController::process()
             retire(*plan.queue, plan.slot);
         // The command bus is busy for one tCK: plan the next command
         // from then on and wake exactly when it issues.
-        plan = decide(now + spec.period());
+        plan = decide(now + ticks.tCK);
     }
     if (plan.at != never)
         scheduleWakeup(plan.at);

@@ -338,6 +338,9 @@ class DramController
 
     EventQueue &eventq;
     const DramTiming spec;
+    /** spec's durations in ticks, derived from it at construction
+     *  and read by every command decision. */
+    const DramTicks ticks;
     const AddressMap map;
     const SchedPolicy policy;
 

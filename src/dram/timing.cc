@@ -3,6 +3,16 @@
 namespace vans::dram
 {
 
+DramTicks::DramTicks(const DramTiming &t)
+    : tCK(t.period()), burst(t.burstTicks()),
+      tCL(t.cyc(t.tCL)), tCWL(t.cyc(t.tCWL)), tRCD(t.cyc(t.tRCD)),
+      tRP(t.cyc(t.tRP)), tRAS(t.cyc(t.tRAS)), tRC(t.cyc(t.tRC)),
+      tCCD_S(t.cyc(t.tCCD_S)), tCCD_L(t.cyc(t.tCCD_L)),
+      tRRD_S(t.cyc(t.tRRD_S)), tRRD_L(t.cyc(t.tRRD_L)),
+      tFAW(t.cyc(t.tFAW)), tWR(t.cyc(t.tWR)), tWTR_L(t.cyc(t.tWTR_L)),
+      tRTP(t.cyc(t.tRTP)), tRFC(t.cyc(t.tRFC)), tREFI(t.cyc(t.tREFI))
+{}
+
 DramTiming
 DramTiming::ddr4_2666()
 {

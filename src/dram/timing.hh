@@ -77,6 +77,21 @@ struct DramTiming
     static DramTiming pcmLike();
 };
 
+/**
+ * The DramTiming durations DramController reads per command,
+ * converted to ticks once: each field is cyc() of the DramTiming
+ * field of the same name, tCK is period() and burst burstTicks().
+ */
+struct DramTicks
+{
+    explicit DramTicks(const DramTiming &t);
+
+    Tick tCK, burst;
+    Tick tCL, tCWL, tRCD, tRP, tRAS, tRC;
+    Tick tCCD_S, tCCD_L, tRRD_S, tRRD_L, tFAW;
+    Tick tWR, tWTR_L, tRTP, tRFC, tREFI;
+};
+
 /** Device geometry: how many banks and how big each row is. */
 struct DramGeometry
 {

@@ -66,8 +66,6 @@ class VectorTraceSource : public TraceSource
         return true;
     }
 
-    void rewind() { pos = 0; }
-
   private:
     std::vector<TraceInst> data;
     std::size_t pos = 0;

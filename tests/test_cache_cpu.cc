@@ -387,105 +387,222 @@ struct CacheShape
     unsigned ways;
 };
 
+/**
+ * Drive a sets x ways cache of @p line-byte lines and the list
+ * oracle with one random stream over the lines base + k + hi x
+ * stride, k below three lines per way and hi below 4, and compare
+ * every answer.
+ */
+void
+cacheDifferential(CacheShape g, std::uint32_t line, Addr base,
+                  Addr stride)
+{
+    Cache dut(CacheParams{"dut", std::uint64_t{g.sets} * g.ways * line,
+                          g.ways, line, 1.0});
+    ListCache ref(g.sets, g.ways, line);
+    Rng rng(g.sets * 131 + g.ways);
+    // Three lines per way keep every set busy with hits, evictions
+    // and refills; the hi offsets exercise the upper tag bits.
+    std::uint64_t pool = std::uint64_t{g.sets} * g.ways * 3;
+    auto addr = [&](Addr k, Addr hi) {
+        return (base + k + hi * stride) * line;
+    };
+    auto pick = [&] {
+        Addr k = rng.below(pool);
+        Addr hi = rng.below(4);
+        return addr(k, hi) + rng.below(line);
+    };
+    unsigned most_free = 0;
+    for (int op = 0; op < 40000; ++op) {
+        Addr a = pick();
+        unsigned kind = static_cast<unsigned>(rng.below(20));
+        if (kind < 11) {
+            bool w = rng.below(3) == 0;
+            CacheAccessResult x = dut.access(a, w);
+            CacheAccessResult y = ref.access(a, w);
+            ASSERT_EQ(x.hit, y.hit) << "op " << op;
+            ASSERT_EQ(x.writeback, y.writeback) << "op " << op;
+            ASSERT_EQ(x.writebackAddr, y.writebackAddr) << "op " << op;
+        } else if (kind < 13) {
+            ASSERT_EQ(dut.clean(a), ref.clean(a)) << "op " << op;
+        } else if (kind < 16) {
+            ASSERT_EQ(dut.contains(a), ref.contains(a)) << "op " << op;
+        } else if (kind < 19) {
+            ASSERT_EQ(dut.invalidate(a), ref.invalidate(a))
+                << "op " << op;
+        } else {
+            // clflushopt about half the lines one set can hold: the
+            // set is left with several freed ways beside live ones,
+            // and the next fills must use them.
+            std::uint64_t set = rng.below(g.sets);
+            for (std::uint64_t k = set; k < pool; k += g.sets) {
+                for (Addr hi = 0; hi < 4; ++hi) {
+                    Addr v = addr(k, hi);
+                    if (rng.below(2)) {
+                        ASSERT_EQ(dut.invalidate(v), ref.invalidate(v))
+                            << "op " << op;
+                    }
+                }
+            }
+            most_free = std::max(most_free,
+                                 ref.freeBesideLive(addr(set, 0)));
+        }
+    }
+    EXPECT_GE(most_free, std::min(3u, g.ways - 1))
+        << "no set held several freed ways beside a live one";
+    for (std::uint64_t k = 0; k < pool; ++k)
+        ASSERT_EQ(dut.contains(addr(k, 0)), ref.contains(addr(k, 0)));
+}
+
 } // namespace
 
 TEST(CacheDifferential, MatchesListReferenceOnRandomStreams)
 {
-    constexpr std::uint32_t line = 64;
     for (CacheShape g : {CacheShape{1, 16}, CacheShape{4, 2},
                          CacheShape{64, 8}}) {
         SCOPED_TRACE(testing::Message() << g.sets << "x" << g.ways);
-        Cache dut(CacheParams{"dut", std::uint64_t{g.sets} * g.ways * line,
-                              g.ways, line, 1.0});
-        ListCache ref(g.sets, g.ways, line);
-        Rng rng(g.sets * 131 + g.ways);
-        // Three lines per way keep every set busy with hits,
-        // evictions and refills; a few high address bits exercise
-        // the tag arithmetic.
-        std::uint64_t pool = std::uint64_t{g.sets} * g.ways * 3;
-        auto pick = [&] {
-            return (rng.below(pool) + (rng.below(4) << 34)) * line +
-                   rng.below(line);
-        };
-        unsigned most_free = 0;
-        for (int op = 0; op < 40000; ++op) {
-            Addr a = pick();
-            unsigned kind = static_cast<unsigned>(rng.below(20));
-            if (kind < 11) {
-                bool w = rng.below(3) == 0;
-                CacheAccessResult x = dut.access(a, w);
-                CacheAccessResult y = ref.access(a, w);
-                ASSERT_EQ(x.hit, y.hit) << "op " << op;
-                ASSERT_EQ(x.writeback, y.writeback) << "op " << op;
-                ASSERT_EQ(x.writebackAddr, y.writebackAddr)
-                    << "op " << op;
-            } else if (kind < 13) {
-                ASSERT_EQ(dut.clean(a), ref.clean(a)) << "op " << op;
-            } else if (kind < 16) {
-                ASSERT_EQ(dut.contains(a), ref.contains(a))
-                    << "op " << op;
-            } else if (kind < 19) {
-                ASSERT_EQ(dut.invalidate(a), ref.invalidate(a))
-                    << "op " << op;
-            } else {
-                // clflushopt about half the lines one set can hold:
-                // the set is left with several freed ways beside
-                // live ones, and the next fills must use them.
-                std::uint64_t set = rng.below(g.sets);
-                for (std::uint64_t k = set; k < pool; k += g.sets) {
-                    for (Addr hi = 0; hi < 4; ++hi) {
-                        Addr v = (k + (hi << 34)) * line;
-                        if (rng.below(2)) {
-                            ASSERT_EQ(dut.invalidate(v),
-                                      ref.invalidate(v))
-                                << "op " << op;
-                        }
-                    }
-                }
-                most_free = std::max(most_free,
-                                     ref.freeBesideLive(set * line));
-            }
-        }
-        EXPECT_GE(most_free, std::min(3u, g.ways - 1))
-            << "no set held several freed ways beside a live one";
-        for (std::uint64_t k = 0; k < pool; ++k)
-            ASSERT_EQ(dut.contains(k * line), ref.contains(k * line));
+        cacheDifferential(g, 64, 0, Addr{1} << 34);
     }
 }
 
-TEST(TlbDifferential, MatchesListReferenceOnRandomStreams)
+TEST(CacheDifferential, MatchesListReferenceAtTheWidestKeys)
+{
+    // Every tag has the key's top bit set and the hi offsets move
+    // the two bits below it, so a tag that lost a bit, or spilled
+    // into the rank or the dirty bit, diverges from the oracle.
+    // 8-byte lines keep the widest tags of 64 sets inside 64-bit
+    // addresses.
+    constexpr std::uint32_t line = 8;
+    for (CacheShape g : {CacheShape{1, 16}, CacheShape{4, 2},
+                         CacheShape{64, 8}}) {
+        SCOPED_TRACE(testing::Message() << g.sets << "x" << g.ways);
+        Addr end = (Way::maxKey + 1) * g.sets; // One past the top line.
+        Addr stride = Addr{g.sets} << (Way::keyBits - 3);
+        Addr pool = std::uint64_t{g.sets} * g.ways * 3;
+        cacheDifferential(g, line, end - pool - 3 * stride, stride);
+    }
+}
+
+namespace
+{
+
+/** The TLB counterpart of cacheDifferential, over the pages
+ *  base + k + hi x stride, k below twice the STLB's reach. */
+void
+tlbDifferential(const TlbParams &tp, Addr base, Addr stride)
+{
+    Tlb dut(tp);
+    ListTlb ref(tp);
+    Rng rng(tp.stlbEntries);
+    // Twice the STLB's reach: hits in both levels, STLB refills of
+    // L1 misses, walks that evict.
+    std::uint64_t pages = 2ull * tp.stlbEntries;
+    for (int op = 0; op < 60000; ++op) {
+        Addr k = rng.below(pages);
+        Addr hi = rng.below(4);
+        Addr a = (base + k + hi * stride) * tp.pageBytes +
+                 rng.below(tp.pageBytes);
+        unsigned kind = static_cast<unsigned>(rng.below(10));
+        if (kind < 7) {
+            TlbResult x = dut.access(a);
+            TlbResult y = ref.access(a);
+            ASSERT_EQ(x.l1Hit, y.l1Hit) << "op " << op;
+            ASSERT_EQ(x.stlbHit, y.stlbHit) << "op " << op;
+            ASSERT_EQ(x.walk, y.walk) << "op " << op;
+        } else if (kind < 8) {
+            ASSERT_EQ(dut.install(a), ref.install(a)) << "op " << op;
+        } else {
+            ASSERT_EQ(dut.contains(a), ref.contains(a)) << "op " << op;
+        }
+    }
+}
+
+TlbParams
+smallTlb()
 {
     TlbParams small;
     small.l1Entries = 8;
     small.l1Ways = 4;
     small.stlbEntries = 48;
     small.stlbWays = 12;
-    for (const TlbParams &tp : {TlbParams{}, small}) {
+    return small;
+}
+
+} // namespace
+
+TEST(TlbDifferential, MatchesListReferenceOnRandomStreams)
+{
+    for (const TlbParams &tp : {TlbParams{}, smallTlb()}) {
         SCOPED_TRACE(testing::Message() << tp.stlbEntries << "-entry STLB");
-        Tlb dut(tp);
-        ListTlb ref(tp);
-        Rng rng(tp.stlbEntries);
-        // Twice the STLB's reach: hits in both levels, STLB refills
-        // of L1 misses, walks that evict.
-        std::uint64_t pages = 2ull * tp.stlbEntries;
-        for (int op = 0; op < 60000; ++op) {
-            Addr a = (rng.below(pages) + (rng.below(4) << 30)) *
-                         tp.pageBytes +
-                     rng.below(tp.pageBytes);
-            unsigned kind = static_cast<unsigned>(rng.below(10));
-            if (kind < 7) {
-                TlbResult x = dut.access(a);
-                TlbResult y = ref.access(a);
-                ASSERT_EQ(x.l1Hit, y.l1Hit) << "op " << op;
-                ASSERT_EQ(x.stlbHit, y.stlbHit) << "op " << op;
-                ASSERT_EQ(x.walk, y.walk) << "op " << op;
-            } else if (kind < 8) {
-                ASSERT_EQ(dut.install(a), ref.install(a)) << "op " << op;
-            } else {
-                ASSERT_EQ(dut.contains(a), ref.contains(a)) << "op " << op;
-            }
-        }
+        tlbDifferential(tp, 0, Addr{1} << 30);
     }
+}
+
+TEST(TlbDifferential, MatchesListReferenceAtTheWidestKeys)
+{
+    // Pages with the key's top bit set, as in the cache test above;
+    // 256-byte pages keep them inside 64-bit addresses.
+    for (TlbParams tp : {TlbParams{}, smallTlb()}) {
+        SCOPED_TRACE(testing::Message() << tp.stlbEntries << "-entry STLB");
+        tp.pageBytes = 256;
+        Addr stride = Addr{1} << (Way::keyBits - 3);
+        Addr pages = 2ull * tp.stlbEntries;
+        tlbDifferential(tp, Way::maxKey + 1 - pages - 3 * stride, stride);
+    }
+}
+
+TEST(SetAssocArray, WayIsOneWordOfDisjointFields)
+{
+    EXPECT_EQ(sizeof(Way), 8u);
+    EXPECT_EQ(Way::keyBits + 8 + 1, 64u);
+    Way w{};
+    w.key = Way::maxKey;
+    EXPECT_EQ(w.rank, 0u);
+    EXPECT_EQ(w.dirty, 0u);
+    w.rank = SetAssocArray::maxWays;
+    w.dirty = 1;
+    EXPECT_EQ(w.key, Way::maxKey);
+    w.key = 0;
+    EXPECT_EQ(w.rank, SetAssocArray::maxWays);
+    EXPECT_EQ(w.dirty, 1u);
+}
+
+TEST(CacheDeathTest, KeyWiderThanAWayFailsNamingTheLevel)
+{
+    // One 16-way set of 64 B lines: the tag is the line number, so
+    // line maxKey fits and line maxKey + 1 is one bit too wide.
+    Cache c(CacheParams{"llc", 16 * 64, 16, 64, 16.0});
+    Addr widest = Way::maxKey * 64;
+    Addr too_wide = (Way::maxKey + 1) * 64;
+    c.access(0, true);
+    EXPECT_FALSE(c.access(widest, true).hit);
+    EXPECT_TRUE(c.contains(widest));
+    // A lookup never aliases the too-wide tag onto tag 0.
+    EXPECT_FALSE(c.contains(too_wide));
+    EXPECT_FALSE(c.clean(too_wide));
+    EXPECT_FALSE(c.invalidate(too_wide));
+    EXPECT_TRUE(c.contains(0));
+    EXPECT_DEATH(c.access(too_wide, false),
+                 "llc: address 2000000000000000: tag 80000000000000 is "
+                 "wider than a way's 55-bit key");
+}
+
+TEST(TlbDeathTest, PageWiderThanAWayFailsNamingTheLevel)
+{
+    TlbParams p;
+    p.name = "dtlb";
+    p.pageBytes = 256;
+    Tlb t(p);
+    Addr widest = Way::maxKey * 256;
+    Addr too_wide = (Way::maxKey + 1) * 256;
+    t.access(0);
+    EXPECT_TRUE(t.access(widest).walk);
+    EXPECT_TRUE(t.contains(widest));
+    EXPECT_FALSE(t.contains(too_wide));
+    const char *msg = "dtlb L1/STLB: address 8000000000000000: page "
+                      "80000000000000 is wider than a way's 55-bit key";
+    EXPECT_DEATH(t.access(too_wide), msg);
+    EXPECT_DEATH(t.install(too_wide), msg);
 }
 
 // ---- Geometry guards ------------------------------------------------------
